@@ -14,8 +14,7 @@ from .cipher import (CapacityError, CipherPair, NoiseModel, NoisyEmbedding,
                      compute_beta, compute_sigma, dump_cipher_text,
                      load_cipher, noisy_vectors, save_cipher)
 from .cooc import (ContextConfig, CoocCounts, EmbeddingMatrix, EmbeddingMeta,
-                   accumulate_cooccurrence, aggregate, embed_corpus,
-                   merge_count_runs, write_count_run)
+                   accumulate_cooccurrence, aggregate, embed_corpus)
 from .corpus import (EncodingError, FrequencyTable, TokenizerConfig,
                      Vocabulary, build_vocabulary, count_corpus,
                      count_frequencies, merge_frequency_tables,
@@ -40,7 +39,6 @@ __all__ = [
     "save_cipher",
     "ContextConfig", "CoocCounts", "EmbeddingMatrix", "EmbeddingMeta",
     "accumulate_cooccurrence", "aggregate", "embed_corpus",
-    "merge_count_runs", "write_count_run",
     "EncodingError", "FrequencyTable", "TokenizerConfig", "Vocabulary",
     "build_vocabulary", "count_corpus", "count_frequencies",
     "merge_frequency_tables", "rank_tokens", "read_frequency_table",

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import traceback
 from pathlib import Path
@@ -18,7 +17,7 @@ from .corpus import (TokenizerConfig, build_vocabulary, count_corpus,
                      write_frequency_table)
 from .embedio import (read_embeddings, row_tokens, vocabulary_from_tokens,
                       write_embeddings_binary, write_embeddings_text)
-from .manifest import Manifest, manifest_path, write_manifest, sha256_file
+from .manifest import Manifest, manifest_path, write_json, write_manifest
 from .postprocess import DEFAULT_EPSILON, pipeline
 from .probe import ProbeHyperparams, evaluate_probe, load_conll, train_probe
 
@@ -55,6 +54,18 @@ def _new_manifest(command: str, config: dict) -> Manifest:
     return Manifest(command=command, version=__version__, config=config)
 
 
+def _write_embeddings(rows, tokens, path, fmt: str) -> None:
+    writer = write_embeddings_text if fmt == "text" else write_embeddings_binary
+    writer(rows, tokens, path)
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def cmd_count(args) -> int:
     config = _tokenizer_config(args)
     table = count_corpus(args.corpus, config, workers=args.threads)
@@ -84,14 +95,17 @@ def cmd_embed(args) -> int:
     context = ContextConfig(radius=args.radius, mode=args.mode,
                             log_weighting=args.log,
                             include_center=args.include_center)
-    digest = sha256_file(args.corpus)
+    manifest = _new_manifest("embed", {})
+    manifest.record_input("corpus", args.corpus)
+    manifest.record_input("frequencies", args.freq)
     matrix = embed_corpus(stream_tokens(args.corpus, config), vocab, pair,
-                          noise, context, corpus_digest=digest)
+                          noise, context,
+                          corpus_digest=manifest.inputs["corpus"]["sha256"])
     report = None
     if args.postproc:
         matrix, report = pipeline(matrix, epsilon=args.epsilon)
 
-    manifest = _new_manifest("embed", {
+    manifest.config = {
         "bits": args.bits,
         "radius": args.radius,
         "mode": args.mode,
@@ -104,24 +118,15 @@ def cmd_embed(args) -> int:
         "format": args.format,
         "tokenizer": _tokenizer_dict(config),
         "meta": matrix.meta.to_dict(),
-    })
-    manifest.record_input("corpus", args.corpus)
-    manifest.record_input("frequencies", args.freq)
-
-    tokens = row_tokens(vocab)
-    if args.format == "text":
-        write_embeddings_text(matrix.rows, tokens, args.out)
-    else:
-        write_embeddings_binary(matrix.rows, tokens, args.out)
+    }
+    _write_embeddings(matrix.rows, row_tokens(vocab), args.out, args.format)
     manifest.record_output("embeddings", args.out)
     if args.save_cipher:
         save_cipher(pair, args.save_cipher, mode=args.dtype)
         manifest.record_output("cipher", args.save_cipher)
     if report is not None:
         report_file = Path(str(args.out) + ".report.json")
-        with open(report_file, "w", encoding="utf-8") as out:
-            json.dump(report.to_dict(), out, indent=2, sort_keys=True)
-            out.write("\n")
+        write_json(report.to_dict(), report_file)
         manifest.record_output("postproc_report", report_file)
     write_manifest(manifest, manifest_path(args.out))
     print(f"embedded {vocab.size}+oov rows at dimension {matrix.dim} "
@@ -135,14 +140,9 @@ def cmd_postproc(args) -> int:
                              EmbeddingMeta(bits=rows.shape[1]))
     refined, report = pipeline(matrix, epsilon=args.epsilon,
                                row_mean=args.row_mean)
-    if args.format == "text":
-        write_embeddings_text(refined.rows, tokens, args.out)
-    else:
-        write_embeddings_binary(refined.rows, tokens, args.out)
+    _write_embeddings(refined.rows, tokens, args.out, args.format)
     report_file = Path(str(args.out) + ".report.json")
-    with open(report_file, "w", encoding="utf-8") as out:
-        json.dump(report.to_dict(), out, indent=2, sort_keys=True)
-        out.write("\n")
+    write_json(report.to_dict(), report_file)
     manifest = _new_manifest("postproc", {
         "epsilon": args.epsilon,
         "row_mean": args.row_mean,
@@ -174,9 +174,7 @@ def cmd_probe(args) -> int:
     print(metrics.summary_line())
     payload = metrics.to_dict()
     payload["hyperparams"] = hp.to_dict()
-    with open(args.metrics_out, "w", encoding="utf-8") as out:
-        json.dump(payload, out, indent=2, sort_keys=True)
-        out.write("\n")
+    write_json(payload, args.metrics_out)
     manifest = _new_manifest("probe", {"hyperparams": hp.to_dict(),
                                        "token_column": args.token_column,
                                        "label_column": args.label_column})
@@ -191,10 +189,7 @@ def cmd_probe(args) -> int:
 
 def cmd_export(args) -> int:
     rows, tokens = read_embeddings(args.embeddings)
-    if args.format == "text":
-        write_embeddings_text(rows, tokens, args.out)
-    else:
-        write_embeddings_binary(rows, tokens, args.out)
+    _write_embeddings(rows, tokens, args.out, args.format)
     manifest = _new_manifest("export", {"format": args.format})
     manifest.record_input("embeddings", args.embeddings)
     manifest.record_output("embeddings", args.out)
@@ -215,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     count = sub.add_parser("count", help="count unigram/document frequencies")
     count.add_argument("corpus", help="plain-text or gzip corpus file")
     count.add_argument("--out", required=True, help="frequency table path")
-    count.add_argument("--threads", type=int, default=1,
+    count.add_argument("--threads", type=_positive_int, default=1,
                        help="worker processes for counting (default: 1)")
     _add_tokenizer_flags(count)
     count.set_defaults(func=cmd_count)

@@ -2,22 +2,14 @@
 
 from __future__ import annotations
 
-import heapq
-import struct
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator
+from array import array
+from dataclasses import dataclass, replace
+from typing import Iterable
 
 import numpy as np
-import scipy.sparse as sp
 
 from .cipher import CipherPair, NoiseModel, NoisyEmbedding, noisy_vectors
 from .corpus import Vocabulary
-
-RUN_MAGIC = b"BCRN"
-RUN_VERSION = 1
-_RUN_HEADER = struct.Struct("<4sBBIQQ")
-_SUM_RECORD = struct.Struct("<qqq")
-_CAT_RECORD = struct.Struct("<qqqq")
 
 
 @dataclass(frozen=True)
@@ -54,36 +46,19 @@ class ContextConfig:
 
 @dataclass
 class CoocCounts:
-    """Sparse window counts.
+    """Window counts as parallel arrays sorted by key.
 
-    Keys are (center, context) in sum mode and (center, offset, context) in
-    cat mode, all row indices into the (vocab + OOV) space of ``n_rows``
-    rows. Counts are positive integers.
+    With ``n = n_rows`` (vocab + OOV), a sum key is ``center*n + context``
+    and a cat key is ``(slot*n + center)*n + context``, where ``slot``
+    indexes ``ContextConfig.offsets()``. ``counts[i]`` is the positive
+    count of ``keys[i]``.
     """
 
     mode: str
     radius: int
     n_rows: int
-    counts: dict[tuple, int] = field(default_factory=dict)
-
-    def merge(self, other: "CoocCounts") -> "CoocCounts":
-        """Combine counts from a shard over disjoint documents."""
-        if (self.mode, self.radius, self.n_rows) != (other.mode, other.radius, other.n_rows):
-            raise ValueError("cannot merge counts with different mode/radius/rows")
-        merged = dict(self.counts)
-        for key, c in other.counts.items():
-            merged[key] = merged.get(key, 0) + c
-        return CoocCounts(self.mode, self.radius, self.n_rows, merged)
-
-    def offset_marginal(self) -> "CoocCounts":
-        """Collapse cat counts over offsets, yielding the sum-mode counts."""
-        if self.mode != "cat":
-            raise ValueError("offset_marginal is only defined for cat counts")
-        merged: dict[tuple, int] = {}
-        for (center, _offset, context), c in self.counts.items():
-            key = (center, context)
-            merged[key] = merged.get(key, 0) + c
-        return CoocCounts("sum", self.radius, self.n_rows, merged)
+    keys: np.ndarray
+    counts: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -124,6 +99,45 @@ class EmbeddingMatrix:
         return self.rows.shape[1]
 
 
+def _row_ids(stream: Iterable[tuple[int, str]],
+             vocab: Vocabulary) -> tuple[np.ndarray, np.ndarray]:
+    """Row id of each streamed token, and the id of its document run.
+
+    A run starts wherever the document id differs from the previous
+    token's, so equal run ids mean the same document.
+    """
+    doc_ids, rows = array("q"), array("q")
+    for doc_id, token in stream:
+        doc_ids.append(doc_id)
+        rows.append(vocab.row_for(token))
+    docs = np.frombuffer(doc_ids, dtype=np.int64)
+    run = np.zeros(len(docs), dtype=np.int64)
+    np.cumsum(docs[1:] != docs[:-1], out=run[1:])
+    return np.frombuffer(rows, dtype=np.int64), run
+
+
+def _offset_counts(ids: np.ndarray, run: np.ndarray, n: int,
+                   config: ContextConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Each offset's sorted (key, count) arrays, concatenated in slot order."""
+    radius = config.radius
+    parts = []
+    for k in range(1, min(radius, len(ids) - 1) + 1):
+        same = run[:-k] == run[k:]
+        # offset -k is slot radius-k, offset +k is slot radius+k-1
+        for slot, center, context in ((radius - k, ids[k:], ids[:-k]),
+                                      (radius + k - 1, ids[:-k], ids[k:])):
+            keys = center * n
+            keys += context
+            keys = keys[same]
+            if config.mode == "cat":
+                keys += slot * n * n
+            parts.append((slot, *np.unique(keys, return_counts=True)))
+    parts.sort(key=lambda part: part[0])
+    empty = [np.empty(0, dtype=np.int64)]
+    return (np.concatenate(empty + [keys for _, keys, _ in parts]),
+            np.concatenate(empty + [counts for _, _, counts in parts]))
+
+
 def accumulate_cooccurrence(stream: Iterable[tuple[int, str]], vocab: Vocabulary,
                             config: ContextConfig) -> CoocCounts:
     """Count windowed neighbor pairs, never crossing document boundaries.
@@ -132,37 +146,16 @@ def accumulate_cooccurrence(stream: Iterable[tuple[int, str]], vocab: Vocabulary
     increments the (center[, o], context) cell by one. Out-of-vocabulary
     tokens participate on both sides through the shared OOV row.
     """
-    counts: dict[tuple, int] = {}
-    radius = config.radius
-    cat = config.mode == "cat"
-    doc: list[int] = []
-    current: int | None = None
-
-    def flush(ids: list[int]) -> None:
-        last = len(ids)
-        for pos, center in enumerate(ids):
-            lo = max(0, pos - radius)
-            hi = min(last, pos + radius + 1)
-            for q in range(lo, hi):
-                if q == pos:
-                    continue
-                key = (center, q - pos, ids[q]) if cat else (center, ids[q])
-                counts[key] = counts.get(key, 0) + 1
-
-    for doc_id, token in stream:
-        if doc_id != current:
-            if doc:
-                flush(doc)
-            doc = []
-            current = doc_id
-        doc.append(vocab.row_for(token))
-    if doc:
-        flush(doc)
-    return CoocCounts(config.mode, config.radius, vocab.size + 1, counts)
-
-
-def _weights(values: np.ndarray, log_weighting: bool) -> np.ndarray:
-    return np.log1p(values) if log_weighting else values
+    n = vocab.size + 1
+    if 2 * config.radius * n * n >= 2 ** 63:
+        raise ValueError(f"radius {config.radius} over {n} rows overflows "
+                         f"the int64 co-occurrence key space")
+    keys, counts = _offset_counts(*_row_ids(stream, vocab), n, config)
+    if config.mode == "sum":
+        # the same (center, context) cell occurs under several offsets
+        keys, inverse = np.unique(keys, return_inverse=True)
+        counts = np.bincount(inverse, weights=counts).astype(np.int64)
+    return CoocCounts(config.mode, config.radius, n, keys, counts)
 
 
 def aggregate(counts: CoocCounts, noisy: NoisyEmbedding,
@@ -175,36 +168,30 @@ def aggregate(counts: CoocCounts, noisy: NoisyEmbedding,
         raise ValueError(f"counts cover {counts.n_rows} rows but noisy "
                          f"embedding has {n_rows}")
     nu = noisy.rows
-    if config.mode == "sum":
-        out = _scatter_rows(counts.counts.items(), n_rows, nu, config.log_weighting)
-        if config.include_center:
-            centers = sorted({c for c, _ in counts.counts})
-            out[centers] += nu[centers]
-    else:
-        by_offset: dict[int, list[tuple[tuple[int, int], int]]] = {
-            o: [] for o in config.offsets()}
-        for (center, offset, context), c in counts.counts.items():
-            by_offset[offset].append(((center, context), c))
-        blocks = [
-            _scatter_rows(by_offset[o], n_rows, nu, config.log_weighting)
-            for o in config.offsets()
-        ]
-        out = np.hstack(blocks)
+    slots = 1 if config.mode == "sum" else 2 * config.radius
+    out = np.zeros((n_rows, slots, bits))
+    weights = counts.counts.astype(np.float64)
+    if config.log_weighting:
+        weights = np.log1p(weights)
+    slot_size = n_rows * n_rows
+    bounds = np.searchsorted(counts.keys,
+                             np.arange(slots + 1, dtype=np.int64) * slot_size)
+    for s in range(slots):
+        lo, hi = bounds[s], bounds[s + 1]
+        center, context = np.divmod(counts.keys[lo:hi] - s * slot_size, n_rows)
+        # Keys ascend, so each center adds its contexts in ascending row
+        # order: the summation order of a canonical CSR product, which the
+        # artifact digests depend on bit for bit.
+        contexts = nu[context]
+        contexts *= weights[lo:hi, None]
+        np.add.at(out[:, s], center, contexts)
+    if config.include_center and config.mode == "sum":
+        centers = np.unique(counts.keys // n_rows)
+        out[centers, 0] += nu[centers]
     meta = EmbeddingMeta(bits=bits, radius=config.radius, mode=config.mode,
                          log_weighting=config.log_weighting,
                          include_center=config.include_center)
-    return EmbeddingMatrix(out, meta)
-
-
-def _scatter_rows(items, n_rows: int, nu: np.ndarray,
-                  log_weighting: bool) -> np.ndarray:
-    triples = [(c, ctx, v) for (c, ctx), v in items]
-    if not triples:
-        return np.zeros((n_rows, nu.shape[1]))
-    centers, contexts, values = map(np.asarray, zip(*triples))
-    weights = _weights(values.astype(np.float64), log_weighting)
-    mat = sp.csr_matrix((weights, (centers, contexts)), shape=(n_rows, n_rows))
-    return np.asarray(mat @ nu)
+    return EmbeddingMatrix(out.reshape(n_rows, slots * bits), meta)
 
 
 def embed_corpus(stream: Iterable[tuple[int, str]], vocab: Vocabulary,
@@ -221,59 +208,3 @@ def embed_corpus(stream: Iterable[tuple[int, str]], vocab: Vocabulary,
     matrix.meta = replace(matrix.meta, noise_mode=noise.mode,
                           corpus_digest=corpus_digest)
     return matrix
-
-
-def write_count_run(counts: CoocCounts, path) -> None:
-    """Spill counts as one sorted run of fixed-width little-endian records.
-
-    Sum records are (center, context, count) triples, cat records
-    (center, offset, context, count) quadruples, sorted by key so that runs
-    can be merged with a streaming k-way merge.
-    """
-    record = _CAT_RECORD if counts.mode == "cat" else _SUM_RECORD
-    keys = sorted(counts.counts)
-    with open(path, "wb") as out:
-        out.write(_RUN_HEADER.pack(RUN_MAGIC, RUN_VERSION,
-                                   1 if counts.mode == "cat" else 0,
-                                   counts.radius, counts.n_rows, len(keys)))
-        for key in keys:
-            out.write(record.pack(*key, counts.counts[key]))
-
-
-def _read_run_header(src) -> tuple[str, int, int, int]:
-    magic, version, mode_flag, radius, n_rows, n_records = _RUN_HEADER.unpack(
-        src.read(_RUN_HEADER.size))
-    if magic != RUN_MAGIC:
-        raise ValueError("not a count-run file")
-    if version != RUN_VERSION:
-        raise ValueError(f"unsupported run version {version}")
-    return ("cat" if mode_flag else "sum", radius, n_rows, n_records)
-
-
-def _iter_run_records(path, record: struct.Struct,
-                      n_records: int) -> Iterator[tuple]:
-    with open(path, "rb") as src:
-        src.read(_RUN_HEADER.size)
-        for _ in range(n_records):
-            yield record.unpack(src.read(record.size))
-
-
-def merge_count_runs(paths: Iterable[str]) -> CoocCounts:
-    """Stream-merge sorted runs, summing counts of equal keys."""
-    paths = list(paths)
-    if not paths:
-        raise ValueError("no runs to merge")
-    headers = []
-    for path in paths:
-        with open(path, "rb") as src:
-            headers.append(_read_run_header(src))
-    mode, radius, n_rows, _ = headers[0]
-    if any(h[:3] != (mode, radius, n_rows) for h in headers):
-        raise ValueError("runs disagree on mode/radius/rows")
-    record = _CAT_RECORD if mode == "cat" else _SUM_RECORD
-    counts: dict[tuple, int] = {}
-    streams = [_iter_run_records(p, record, h[3]) for p, h in zip(paths, headers)]
-    for rec in heapq.merge(*streams):
-        key, c = rec[:-1], rec[-1]
-        counts[key] = counts.get(key, 0) + c
-    return CoocCounts(mode, radius, n_rows, counts)

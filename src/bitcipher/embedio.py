@@ -113,18 +113,35 @@ def write_embeddings_binary(rows: np.ndarray, tokens: Sequence[str],
 
 
 def read_embeddings_binary(path: str | Path) -> tuple[np.ndarray, list[str]]:
-    with open(path, "rb") as src:
-        magic, version, n, dim = _BIN_HEADER.unpack(src.read(_BIN_HEADER.size))
-        if magic != EMBED_MAGIC:
-            raise ValueError(f"{path}: not an embedding file")
-        if version != EMBED_VERSION:
-            raise ValueError(f"{path}: unsupported version {version}")
-        rows = np.frombuffer(src.read(n * dim * 4), dtype="<f4")
-        rows = rows.reshape(n, dim).astype(np.float32)
-        tokens = []
-        for _ in range(n):
-            (length,) = struct.unpack("<I", src.read(4))
-            tokens.append(src.read(length).decode("utf-8"))
+    data = memoryview(Path(path).read_bytes())
+    offset = 0
+
+    def take(size: int, what: str) -> memoryview:
+        nonlocal offset
+        if size > len(data) - offset:
+            raise ValueError(f"{path}: truncated {what} at byte {offset}")
+        offset += size
+        return data[offset - size:offset]
+
+    magic, version, n, dim = _BIN_HEADER.unpack(take(_BIN_HEADER.size, "header"))
+    if magic != EMBED_MAGIC:
+        raise ValueError(f"{path}: not an embedding file")
+    if version != EMBED_VERSION:
+        raise ValueError(f"{path}: unsupported version {version}")
+    rows = np.frombuffer(take(n * dim * 4, "float block"), dtype="<f4")
+    rows = rows.reshape(n, dim).astype(np.float32)
+    tokens = []
+    for i in range(n):
+        (length,) = struct.unpack("<I", take(4, f"length of token {i}"))
+        raw = take(length, f"token {i}")
+        try:
+            tokens.append(str(raw, "utf-8"))
+        except UnicodeDecodeError:
+            raise ValueError(f"{path}: token {i} is not UTF-8 at byte "
+                             f"{offset - length}") from None
+    if offset != len(data):
+        raise ValueError(f"{path}: {len(data) - offset} trailing bytes at "
+                         f"byte {offset}")
     return rows, tokens
 
 

@@ -53,10 +53,15 @@ def manifest_path(artifact_path: str | Path) -> Path:
     return Path(str(artifact_path) + ".manifest.json")
 
 
-def write_manifest(manifest: Manifest, path: str | Path) -> None:
+def write_json(obj, path: str | Path) -> None:
+    """Write ``obj`` as sorted, indented JSON with a trailing newline."""
     with open(path, "w", encoding="utf-8", newline="\n") as out:
-        json.dump(manifest.to_dict(), out, indent=2, sort_keys=True)
+        json.dump(obj, out, indent=2, sort_keys=True)
         out.write("\n")
+
+
+def write_manifest(manifest: Manifest, path: str | Path) -> None:
+    write_json(manifest.to_dict(), path)
 
 
 def read_manifest(path: str | Path) -> Manifest:

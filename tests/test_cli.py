@@ -1,11 +1,16 @@
 import gzip
 import json
+import os
 import re
+import subprocess
+import sys
 from collections import Counter, defaultdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bitcipher
 from bitcipher.cli import main
 from bitcipher.embedio import read_embeddings_text
 from bitcipher.manifest import read_manifest
@@ -67,6 +72,16 @@ def test_count_matches_golden_file(tmp_path, corpus_file):
 def test_count_missing_file_exits_2(tmp_path):
     assert main(["count", str(tmp_path / "nope.txt"),
                  "--out", str(tmp_path / "freq.tsv")]) == 2
+
+
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_count_rejects_threads_below_one(tmp_path, corpus_file, threads):
+    out = tmp_path / "freq.tsv"
+    with pytest.raises(SystemExit) as exc:
+        main(["count", str(corpus_file), "--out", str(out),
+              "--threads", threads])
+    assert exc.value.code == 2
+    assert not out.exists()
 
 
 def test_count_gzip_equals_plain(tmp_path, corpus_file):
@@ -223,3 +238,42 @@ def test_count_manifest_records_digests(tmp_path, corpus_file):
     assert manifest.inputs["corpus"]["sha256"]
     assert manifest.outputs["frequencies"]["sha256"]
     assert manifest.config["tokenizer"]["lowercase"] is True
+
+
+def _corrupt_bin(data: bytes, case: str, n_values: int) -> bytes:
+    first_length = 16 + 4 * n_values  # header, then the float block
+    return {
+        "cut_3": data[:-3],
+        "cut_5": data[:-5],
+        "trailing_garbage": data + b"\xde\xad\xbe\xef",
+        "cut_in_length_prefix": data[:first_length + 2],
+        "cut_in_float_block": data[:16 + 10],
+    }[case]
+
+
+@pytest.mark.parametrize("case", ["cut_3", "cut_5", "trailing_garbage",
+                                  "cut_in_length_prefix",
+                                  "cut_in_float_block"])
+def test_export_rejects_corrupt_binary(tmp_path, corpus_file, capsys, case):
+    code, out = _run_embed(tmp_path, corpus_file, "emb.txt",
+                           "--bits", "4", "--radius", "2", "--mode", "sum")
+    assert code == 0
+    binary = tmp_path / "emb.bin"
+    assert main(["export", str(out), "--out", str(binary),
+                 "--format", "binary"]) == 0
+    rows, _ = read_embeddings_text(out)
+    bad = tmp_path / f"{case}.bin"
+    bad.write_bytes(_corrupt_bin(binary.read_bytes(), case, rows.size))
+    capsys.readouterr()
+    assert main(["export", str(bad), "--out", str(tmp_path / "again.txt"),
+                 "--format", "text"]) == 2
+    assert str(bad) in capsys.readouterr().err
+
+
+def test_cli_import_does_not_load_scipy():
+    src = str(Path(bitcipher.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = "import sys, bitcipher.cli; print('scipy' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "False"

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -7,10 +8,10 @@ from hypothesis import given, strategies as st
 
 from bitcipher.cipher import build_cipher, build_noise_model, noisy_vectors
 from bitcipher.cooc import (ContextConfig, CoocCounts, accumulate_cooccurrence,
-                            aggregate, embed_corpus, merge_count_runs,
-                            write_count_run)
+                            aggregate, embed_corpus)
 from bitcipher.corpus import (build_vocabulary, count_frequencies,
                               stream_tokens)
+from bitcipher.synth import generate_tagged_sentences, sentences_to_text
 
 
 def _setup(text, bits, noise_mode="unigram", max_vocab=None):
@@ -19,6 +20,30 @@ def _setup(text, bits, noise_mode="unigram", max_vocab=None):
     pair = build_cipher(vocab.size, bits)
     noise = build_noise_model(table, vocab, pair, noise_mode)
     return table, vocab, pair, noise
+
+
+def _cells(counts):
+    """Decode the sorted key/count arrays into {(center[, offset], context): count}."""
+    n = counts.n_rows
+    offsets = ContextConfig(counts.radius, counts.mode).offsets()
+    cells = {}
+    for key, c in zip(counts.keys.tolist(), counts.counts.tolist()):
+        rest, context = divmod(key, n)
+        if counts.mode == "cat":
+            slot, center = divmod(rest, n)
+            cells[(center, offsets[slot], context)] = c
+        else:
+            cells[(rest, context)] = c
+    return cells
+
+
+def _fold(*groups):
+    """Sum the counts of equal keys over iterables of (key, count) pairs."""
+    out = {}
+    for pairs in groups:
+        for key, c in pairs:
+            out[key] = out.get(key, 0) + c
+    return out
 
 
 def _brute_force_counts(docs, vocab, config):
@@ -64,7 +89,7 @@ def test_hand_enumerated_sum_counts():
     a, b = vocab.row_for("a"), vocab.row_for("b")
     counts = accumulate_cooccurrence(stream_tokens(text), vocab,
                                      ContextConfig(radius=1, mode="sum"))
-    assert counts.counts == {(a, b): 2, (b, a): 2}
+    assert _cells(counts) == {(a, b): 2, (b, a): 2}
 
 
 def test_hand_enumerated_cat_counts():
@@ -73,8 +98,8 @@ def test_hand_enumerated_cat_counts():
     a, b = vocab.row_for("a"), vocab.row_for("b")
     counts = accumulate_cooccurrence(stream_tokens(text), vocab,
                                      ContextConfig(radius=1, mode="cat"))
-    assert counts.counts == {(a, 1, b): 1, (a, -1, b): 1,
-                             (b, -1, a): 1, (b, 1, a): 1}
+    assert _cells(counts) == {(a, 1, b): 1, (a, -1, b): 1,
+                              (b, -1, a): 1, (b, 1, a): 1}
 
 
 def test_windows_do_not_cross_documents():
@@ -84,8 +109,18 @@ def test_windows_do_not_cross_documents():
                                      ContextConfig(radius=4, mode="sum"))
     first = {vocab.row_for("a"), vocab.row_for("b")}
     second = {vocab.row_for("c"), vocab.row_for("d")}
-    for (center, context) in counts.counts:
+    for (center, context) in _cells(counts):
         assert {center, context} <= first or {center, context} <= second
+
+
+def test_every_document_id_change_starts_a_new_window():
+    # a repeated id after a change is a new document, not a continuation
+    stream = [(0, "a"), (1, "b"), (0, "a"), (0, "b")]
+    _, vocab, _, _ = _setup(b"a b\n", 3)
+    a, b = vocab.row_for("a"), vocab.row_for("b")
+    counts = accumulate_cooccurrence(stream, vocab,
+                                     ContextConfig(radius=3, mode="sum"))
+    assert _cells(counts) == {(a, b): 1, (b, a): 1}
 
 
 def _random_corpus(rng, n_tokens, n_types=30, line_len=12):
@@ -104,7 +139,7 @@ def test_counts_match_brute_force(mode):
     config = ContextConfig(radius=4, mode=mode)
     counts = accumulate_cooccurrence(stream_tokens(text), vocab, config)
     docs = [line.split() for line in text.decode().splitlines()]
-    assert counts.counts == _brute_force_counts(docs, vocab, config)
+    assert _cells(counts) == _brute_force_counts(docs, vocab, config)
 
 
 def test_oov_neighbors_use_oov_row():
@@ -115,8 +150,9 @@ def test_oov_neighbors_use_oov_row():
                                      ContextConfig(radius=1, mode="sum"))
     oov = vocab.oov_index
     c = vocab.row_for("c")
-    assert counts.counts[(c, oov)] == 1
-    assert counts.counts[(oov, c)] == 1
+    cells = _cells(counts)
+    assert cells[(c, oov)] == 1
+    assert cells[(oov, c)] == 1
 
 
 def test_aggregate_single_count_identity():
@@ -124,7 +160,8 @@ def test_aggregate_single_count_identity():
     _, vocab, pair, noise = _setup(text, 4)
     nu = noisy_vectors(pair, noise)
     a, b = vocab.row_for("a"), vocab.row_for("b")
-    counts = CoocCounts("sum", 1, vocab.size + 1, {(a, b): 1})
+    n = vocab.size + 1
+    counts = CoocCounts("sum", 1, n, np.array([a * n + b]), np.array([1]))
     out = aggregate(counts, nu, ContextConfig(radius=1, mode="sum"))
     assert np.allclose(out.rows[a], nu.rows[b], atol=1e-12)
 
@@ -134,7 +171,9 @@ def test_aggregate_log_weight_of_e_minus_one_is_unit():
     _, vocab, pair, noise = _setup(text, 4)
     nu = noisy_vectors(pair, noise)
     a, b = vocab.row_for("a"), vocab.row_for("b")
-    counts = CoocCounts("sum", 1, vocab.size + 1, {(a, b): math.e - 1})
+    n = vocab.size + 1
+    counts = CoocCounts("sum", 1, n, np.array([a * n + b]),
+                        np.array([math.e - 1]))
     out = aggregate(counts, nu,
                     ContextConfig(radius=1, mode="sum", log_weighting=True))
     assert np.allclose(out.rows[a], nu.rows[b], atol=1e-12)
@@ -216,7 +255,9 @@ def test_offset_marginal_matches_sum_counts():
                                   ContextConfig(radius=2, mode="cat"))
     summed = accumulate_cooccurrence(stream_tokens(text), vocab,
                                      ContextConfig(radius=2, mode="sum"))
-    assert cat.offset_marginal().counts == summed.counts
+    marginal = _fold(((center, context), c)
+                     for (center, _, context), c in _cells(cat).items())
+    assert marginal == _cells(summed)
 
 
 def test_fused_equals_two_phase():
@@ -251,7 +292,7 @@ def test_rows_with_neighbors_are_nonzero():
     config = ContextConfig(radius=2, mode="sum")
     counts = accumulate_cooccurrence(stream_tokens(text), vocab, config)
     out = embed_corpus(stream_tokens(text), vocab, pair, noise, config)
-    centers_with_neighbors = {c for c, _ in counts.counts}
+    centers_with_neighbors = {c for c, _ in _cells(counts)}
     for center in centers_with_neighbors:
         assert np.any(out.rows[center] != 0.0)
 
@@ -279,9 +320,9 @@ def test_shard_merge_equals_single_pass(docs, cut, radius, mode):
     cut = min(cut, len(docs))
     first = [(i, t) for i, t in stream if i < cut]
     second = [(i, t) for i, t in stream if i >= cut]
-    merged = accumulate_cooccurrence(first, vocab, config).merge(
-        accumulate_cooccurrence(second, vocab, config))
-    assert merged.counts == whole.counts
+    merged = _fold(_cells(accumulate_cooccurrence(first, vocab, config)).items(),
+                   _cells(accumulate_cooccurrence(second, vocab, config)).items())
+    assert merged == _cells(whole)
 
 
 def test_monotone_growth_when_adding_documents():
@@ -292,8 +333,9 @@ def test_monotone_growth_when_adding_documents():
     config = ContextConfig(radius=2, mode="sum")
     before = accumulate_cooccurrence(stream_tokens(base), vocab, config)
     after = accumulate_cooccurrence(stream_tokens(extra), vocab, config)
-    for key, c in before.counts.items():
-        assert after.counts.get(key, 0) >= c
+    after_cells = _cells(after)
+    for key, c in _cells(before).items():
+        assert after_cells.get(key, 0) >= c
 
 
 def test_aggregate_rejects_mismatched_config():
@@ -315,34 +357,33 @@ def test_context_config_validation():
         ContextConfig(radius=1, mode="mean")
 
 
-@pytest.mark.parametrize("mode,radius", [("sum", 2), ("cat", 2)])
-def test_count_runs_round_trip(tmp_path, mode, radius):
-    rng = random.Random(17)
-    text_a = _random_corpus(rng, 300)
-    text_b = _random_corpus(rng, 300)
-    _, vocab, _, _ = _setup(text_a + text_b, 6)
-    config = ContextConfig(radius=radius, mode=mode)
-    shard_a = accumulate_cooccurrence(stream_tokens(text_a), vocab, config)
-    shard_b = accumulate_cooccurrence(stream_tokens(text_b), vocab, config)
-    run_a = tmp_path / "a.run"
-    run_b = tmp_path / "b.run"
-    write_count_run(shard_a, run_a)
-    write_count_run(shard_b, run_b)
-    merged = merge_count_runs([run_a, run_b])
-    assert merged.counts == shard_a.merge(shard_b).counts
-    assert (merged.mode, merged.radius, merged.n_rows) == \
-        (mode, radius, vocab.size + 1)
-
-
-def test_merge_runs_rejects_mixed_headers(tmp_path):
+def test_key_space_overflow_is_rejected():
     text = b"a b c\n"
-    _, vocab, _, _ = _setup(text, 4)
-    sum_counts = accumulate_cooccurrence(stream_tokens(text), vocab,
-                                         ContextConfig(radius=1, mode="sum"))
-    cat_counts = accumulate_cooccurrence(stream_tokens(text), vocab,
-                                         ContextConfig(radius=1, mode="cat"))
-    pa, pb = tmp_path / "a.run", tmp_path / "b.run"
-    write_count_run(sum_counts, pa)
-    write_count_run(cat_counts, pb)
-    with pytest.raises(ValueError):
-        merge_count_runs([pa, pb])
+    _, vocab, _, _ = _setup(text, 3)
+    with pytest.raises(ValueError, match="key space"):
+        accumulate_cooccurrence(stream_tokens(text), vocab,
+                                ContextConfig(radius=2 ** 62, mode="cat"))
+
+
+# SHA-256 of embed_corpus(...).rows.tobytes(), recorded with the scipy CSR
+# implementation; any change to summation order or weighting shows up here.
+GOLDEN_ROWS_SHA256 = {
+    "sum": "36be569568a152c46299ee45c983799cba67b6e3cb08679d72d4be539ac81c65",
+    "cat": "4c1f6fc56599b6c34cdbed9dfdd8112bab31f1ff9b1d3fca84490127bd574af5",
+}
+
+
+@pytest.mark.parametrize("config", [
+    ContextConfig(radius=3, mode="sum", log_weighting=True, include_center=True),
+    ContextConfig(radius=3, mode="cat", log_weighting=True),
+], ids=["sum", "cat"])
+def test_embedding_bytes_match_golden_digest(config):
+    text = sentences_to_text(generate_tagged_sentences(5_000, seed=3)).encode()
+    table = count_frequencies(stream_tokens(text))
+    vocab = build_vocabulary(table, 8, max_vocab=150)
+    assert vocab.size < len(table.counts)  # some tokens land on the OOV row
+    pair = build_cipher(vocab.size, 8)
+    noise = build_noise_model(table, vocab, pair, "df")
+    rows = embed_corpus(stream_tokens(text), vocab, pair, noise, config).rows
+    assert hashlib.sha256(rows.tobytes()).hexdigest() == \
+        GOLDEN_ROWS_SHA256[config.mode]
