@@ -50,13 +50,13 @@ def main():
     print(f"corpus: {sum(len(s) for s in sentences)} tokens, "
           f"{len(sentences)} sentences")
 
-    table = bc.count_frequencies(bc.stream_tokens(text))
+    table = bc.count_frequencies(bc.stream_documents(text))
     vocab = bc.build_vocabulary(table, args.bits)
     pair = bc.build_cipher(vocab.size, args.bits)
     noise = bc.build_noise_model(table, vocab, pair, args.dtype)
     config = bc.ContextConfig(radius=args.radius, mode=args.mode,
                               log_weighting=not args.no_log)
-    embeddings = bc.embed_corpus(bc.stream_tokens(text), vocab, pair, noise,
+    embeddings = bc.embed_corpus(bc.stream_documents(text), vocab, pair, noise,
                                  config)
     if not args.no_postproc:
         embeddings, _ = bc.pipeline(embeddings)

@@ -18,8 +18,8 @@ from .cooc import (ContextConfig, CoocCounts, EmbeddingMatrix, EmbeddingMeta,
 from .corpus import (EncodingError, FrequencyTable, TokenizerConfig,
                      Vocabulary, build_vocabulary, count_corpus,
                      count_frequencies, merge_frequency_tables,
-                     rank_tokens, read_frequency_table, stream_tokens,
-                     tokenize_line, write_frequency_table)
+                     rank_tokens, read_frequency_table, stream_documents,
+                     stream_tokens, tokenize_line, write_frequency_table)
 from .embedio import (OOV_TOKEN, escape_token, read_embeddings,
                       read_embeddings_binary, read_embeddings_text,
                       row_tokens, unescape_token, vocabulary_from_tokens,
@@ -42,7 +42,8 @@ __all__ = [
     "EncodingError", "FrequencyTable", "TokenizerConfig", "Vocabulary",
     "build_vocabulary", "count_corpus", "count_frequencies",
     "merge_frequency_tables", "rank_tokens", "read_frequency_table",
-    "stream_tokens", "tokenize_line", "write_frequency_table",
+    "stream_documents", "stream_tokens", "tokenize_line",
+    "write_frequency_table",
     "OOV_TOKEN", "escape_token", "read_embeddings", "read_embeddings_binary",
     "read_embeddings_text", "row_tokens", "unescape_token",
     "vocabulary_from_tokens", "write_embeddings_binary",

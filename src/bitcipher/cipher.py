@@ -15,9 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import FrequencyTable, Vocabulary
+from .embedio import ByteReader
 
 CIPHER_MAGIC = b"BCIP"
 CIPHER_VERSION = 1
+_CIPHER_HEADER = struct.Struct("<4sBIIB")
 
 # Clamp for the document/unigram frequency ratio, keeping fidelities off the
 # degenerate endpoints 0 and 1.
@@ -231,28 +233,29 @@ def save_cipher(pair: CipherPair, path, mode: str = "") -> None:
         raise ValueError("mode tag too long")
     packed = np.packbits(pair.bit_rows, axis=1, bitorder="little")
     with open(path, "wb") as out:
-        out.write(struct.pack("<4sBIIB", CIPHER_MAGIC, CIPHER_VERSION,
-                              pair.size, pair.bits, len(mode_bytes)))
+        out.write(_CIPHER_HEADER.pack(CIPHER_MAGIC, CIPHER_VERSION, pair.size,
+                                      pair.bits, len(mode_bytes)))
         out.write(mode_bytes)
         out.write(packed.tobytes())
         out.write(pair.plain_rows.astype("<f4").tobytes())
 
 
 def load_cipher(path) -> tuple[CipherPair, str]:
-    with open(path, "rb") as src:
-        header = src.read(struct.calcsize("<4sBIIB"))
-        magic, version, n, bits, mode_len = struct.unpack("<4sBIIB", header)
-        if magic != CIPHER_MAGIC:
-            raise ValueError(f"{path}: not a cipher file")
-        if version != CIPHER_VERSION:
-            raise ValueError(f"{path}: unsupported version {version}")
-        mode = src.read(mode_len).decode("utf-8")
-        row_bytes = (bits + 7) // 8
-        packed = np.frombuffer(src.read(n * row_bytes), dtype=np.uint8)
-        packed = packed.reshape(n, row_bytes)
-        bit_rows = np.unpackbits(packed, axis=1, bitorder="little")[:, :bits]
-        plain = np.frombuffer(src.read(n * bits * 4), dtype="<f4")
-        plain_rows = plain.reshape(n, bits).astype(np.float64)
+    reader = ByteReader(path)
+    magic, version, n, bits, mode_len = _CIPHER_HEADER.unpack(
+        reader.take(_CIPHER_HEADER.size, "header"))
+    if magic != CIPHER_MAGIC:
+        raise ValueError(f"{path}: not a cipher file")
+    if version != CIPHER_VERSION:
+        raise ValueError(f"{path}: unsupported version {version}")
+    mode = str(reader.take(mode_len, "mode tag"), "utf-8")
+    row_bytes = (bits + 7) // 8
+    packed = np.frombuffer(reader.take(n * row_bytes, "bit rows"),
+                           dtype=np.uint8).reshape(n, row_bytes)
+    bit_rows = np.unpackbits(packed, axis=1, bitorder="little")[:, :bits]
+    plain = np.frombuffer(reader.take(n * bits * 4, "plain rows"), dtype="<f4")
+    plain_rows = plain.reshape(n, bits).astype(np.float64)
+    reader.finish()
     return CipherPair(bit_rows, plain_rows, bits), mode
 
 

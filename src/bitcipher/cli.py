@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import sys
 import traceback
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ from . import __version__
 from .cipher import build_cipher, build_noise_model, save_cipher
 from .cooc import ContextConfig, EmbeddingMatrix, EmbeddingMeta, embed_corpus
 from .corpus import (TokenizerConfig, build_vocabulary, count_corpus,
-                     read_frequency_table, stream_tokens,
+                     read_frequency_table, stream_documents,
                      write_frequency_table)
 from .embedio import (read_embeddings, row_tokens, vocabulary_from_tokens,
                       write_embeddings_binary, write_embeddings_text)
@@ -42,14 +43,6 @@ def _tokenizer_config(args) -> TokenizerConfig:
                            doc_boundary=args.doc_boundary)
 
 
-def _tokenizer_dict(config: TokenizerConfig) -> dict:
-    return {
-        "lowercase": config.lowercase,
-        "split_punctuation": config.split_punctuation,
-        "doc_boundary": config.doc_boundary,
-    }
-
-
 def _new_manifest(command: str, config: dict) -> Manifest:
     return Manifest(command=command, version=__version__, config=config)
 
@@ -71,7 +64,7 @@ def cmd_count(args) -> int:
     table = count_corpus(args.corpus, config, workers=args.threads)
     write_frequency_table(table, args.out)
     manifest = _new_manifest("count", {
-        "tokenizer": _tokenizer_dict(config),
+        "tokenizer": asdict(config),
         "threads": args.threads,
     })
     manifest.record_input("corpus", args.corpus)
@@ -98,9 +91,21 @@ def cmd_embed(args) -> int:
     manifest = _new_manifest("embed", {})
     manifest.record_input("corpus", args.corpus)
     manifest.record_input("frequencies", args.freq)
-    matrix = embed_corpus(stream_tokens(args.corpus, config), vocab, pair,
-                          noise, context,
+    tokens = 0
+
+    def documents():
+        nonlocal tokens
+        for document in stream_documents(args.corpus, config):
+            tokens += len(document)
+            yield document
+
+    matrix = embed_corpus(documents(), vocab, pair, noise, context,
                           corpus_digest=manifest.inputs["corpus"]["sha256"])
+    if tokens != table.total_tokens:
+        raise ValueError(f"{args.corpus} holds {tokens} tokens but "
+                         f"{args.freq} was counted over "
+                         f"M={table.total_tokens}: the frequency table "
+                         f"belongs to another corpus or tokenizer")
     report = None
     if args.postproc:
         matrix, report = pipeline(matrix, epsilon=args.epsilon)
@@ -116,8 +121,8 @@ def cmd_embed(args) -> int:
         "postproc": args.postproc,
         "epsilon": args.epsilon if args.postproc else None,
         "format": args.format,
-        "tokenizer": _tokenizer_dict(config),
-        "meta": matrix.meta.to_dict(),
+        "tokenizer": asdict(config),
+        "meta": asdict(matrix.meta),
     }
     _write_embeddings(matrix.rows, row_tokens(vocab), args.out, args.format)
     manifest.record_output("embeddings", args.out)
@@ -126,7 +131,7 @@ def cmd_embed(args) -> int:
         manifest.record_output("cipher", args.save_cipher)
     if report is not None:
         report_file = Path(str(args.out) + ".report.json")
-        write_json(report.to_dict(), report_file)
+        write_json(asdict(report), report_file)
         manifest.record_output("postproc_report", report_file)
     write_manifest(manifest, manifest_path(args.out))
     print(f"embedded {vocab.size}+oov rows at dimension {matrix.dim} "
@@ -142,7 +147,7 @@ def cmd_postproc(args) -> int:
                                row_mean=args.row_mean)
     _write_embeddings(refined.rows, tokens, args.out, args.format)
     report_file = Path(str(args.out) + ".report.json")
-    write_json(report.to_dict(), report_file)
+    write_json(asdict(report), report_file)
     manifest = _new_manifest("postproc", {
         "epsilon": args.epsilon,
         "row_mean": args.row_mean,
@@ -173,9 +178,9 @@ def cmd_probe(args) -> int:
     metrics = evaluate_probe(model, matrix, vocab, test)
     print(metrics.summary_line())
     payload = metrics.to_dict()
-    payload["hyperparams"] = hp.to_dict()
+    payload["hyperparams"] = asdict(hp)
     write_json(payload, args.metrics_out)
-    manifest = _new_manifest("probe", {"hyperparams": hp.to_dict(),
+    manifest = _new_manifest("probe", {"hyperparams": asdict(hp),
                                        "token_column": args.token_column,
                                        "label_column": args.label_column})
     manifest.record_input("embeddings", args.embeddings)

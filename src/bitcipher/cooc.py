@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, replace
+from itertools import repeat
 from typing import Iterable
 
 import numpy as np
@@ -74,18 +75,6 @@ class EmbeddingMeta:
     corpus_digest: str | None = None
     postproc: tuple[str, ...] = ()
 
-    def to_dict(self) -> dict:
-        return {
-            "bits": self.bits,
-            "radius": self.radius,
-            "mode": self.mode,
-            "log_weighting": self.log_weighting,
-            "include_center": self.include_center,
-            "noise_mode": self.noise_mode,
-            "corpus_digest": self.corpus_digest,
-            "postproc": list(self.postproc),
-        }
-
 
 @dataclass
 class EmbeddingMatrix:
@@ -99,30 +88,25 @@ class EmbeddingMatrix:
         return self.rows.shape[1]
 
 
-def _row_ids(stream: Iterable[tuple[int, str]],
+def _row_ids(documents: Iterable[list[str]],
              vocab: Vocabulary) -> tuple[np.ndarray, np.ndarray]:
-    """Row id of each streamed token, and the id of its document run.
-
-    A run starts wherever the document id differs from the previous
-    token's, so equal run ids mean the same document.
-    """
-    doc_ids, rows = array("q"), array("q")
-    for doc_id, token in stream:
-        doc_ids.append(doc_id)
-        rows.append(vocab.row_for(token))
-    docs = np.frombuffer(doc_ids, dtype=np.int64)
-    run = np.zeros(len(docs), dtype=np.int64)
-    np.cumsum(docs[1:] != docs[:-1], out=run[1:])
-    return np.frombuffer(rows, dtype=np.int64), run
+    """Row id of each token, and the index of the document holding it."""
+    rows, docs = array("q"), array("q")
+    get, oov = vocab.index.get, vocab.oov_index
+    for doc, tokens in enumerate(documents):
+        rows.extend([get(t, oov) for t in tokens])
+        docs.extend(repeat(doc, len(tokens)))
+    return (np.frombuffer(rows, dtype=np.int64),
+            np.frombuffer(docs, dtype=np.int64))
 
 
-def _offset_counts(ids: np.ndarray, run: np.ndarray, n: int,
+def _offset_counts(ids: np.ndarray, docs: np.ndarray, n: int,
                    config: ContextConfig) -> tuple[np.ndarray, np.ndarray]:
     """Each offset's sorted (key, count) arrays, concatenated in slot order."""
     radius = config.radius
     parts = []
     for k in range(1, min(radius, len(ids) - 1) + 1):
-        same = run[:-k] == run[k:]
+        same = docs[:-k] == docs[k:]
         # offset -k is slot radius-k, offset +k is slot radius+k-1
         for slot, center, context in ((radius - k, ids[k:], ids[:-k]),
                                       (radius + k - 1, ids[:-k], ids[k:])):
@@ -138,7 +122,7 @@ def _offset_counts(ids: np.ndarray, run: np.ndarray, n: int,
             np.concatenate(empty + [counts for _, _, counts in parts]))
 
 
-def accumulate_cooccurrence(stream: Iterable[tuple[int, str]], vocab: Vocabulary,
+def accumulate_cooccurrence(documents: Iterable[list[str]], vocab: Vocabulary,
                             config: ContextConfig) -> CoocCounts:
     """Count windowed neighbor pairs, never crossing document boundaries.
 
@@ -150,7 +134,7 @@ def accumulate_cooccurrence(stream: Iterable[tuple[int, str]], vocab: Vocabulary
     if 2 * config.radius * n * n >= 2 ** 63:
         raise ValueError(f"radius {config.radius} over {n} rows overflows "
                          f"the int64 co-occurrence key space")
-    keys, counts = _offset_counts(*_row_ids(stream, vocab), n, config)
+    keys, counts = _offset_counts(*_row_ids(documents, vocab), n, config)
     if config.mode == "sum":
         # the same (center, context) cell occurs under several offsets
         keys, inverse = np.unique(keys, return_inverse=True)
@@ -194,16 +178,16 @@ def aggregate(counts: CoocCounts, noisy: NoisyEmbedding,
     return EmbeddingMatrix(out.reshape(n_rows, slots * bits), meta)
 
 
-def embed_corpus(stream: Iterable[tuple[int, str]], vocab: Vocabulary,
+def embed_corpus(documents: Iterable[list[str]], vocab: Vocabulary,
                  pair: CipherPair, noise: NoiseModel, config: ContextConfig,
                  corpus_digest: str | None = None) -> EmbeddingMatrix:
-    """Count and aggregate in one pass over the stream.
+    """Count and aggregate in one pass over the documents.
 
     Equivalent (to float tolerance) to accumulate_cooccurrence followed by
     aggregate with the same inputs.
     """
     noisy = noisy_vectors(pair, noise)
-    counts = accumulate_cooccurrence(stream, vocab, config)
+    counts = accumulate_cooccurrence(documents, vocab, config)
     matrix = aggregate(counts, noisy, config)
     matrix.meta = replace(matrix.meta, noise_mode=noise.mode,
                           corpus_digest=corpus_digest)

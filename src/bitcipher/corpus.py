@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gzip
 import io
+import re
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -11,6 +12,10 @@ from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator
 
 GZIP_MAGIC = b"\x1f\x8b"
+
+# A maximal alphanumeric run, or a maximal run of the other non-space
+# characters: ``\w`` is ``isalnum()`` plus "_", ``\s`` is ``isspace()``.
+_TOKEN = re.compile(r"[^\W_]+|(?:[^\w\s]|_)+")
 
 # Lines per shard when counting with multiple workers.
 PARALLEL_CHUNK_LINES = 200_000
@@ -50,24 +55,7 @@ def tokenize_line(text: str, config: TokenizerConfig) -> list[str]:
         text = text.lower()
     if not config.split_punctuation:
         return text.split()
-    tokens: list[str] = []
-    run: list[str] = []
-    run_is_word = False
-    for ch in text:
-        if ch.isspace():
-            if run:
-                tokens.append("".join(run))
-                run = []
-            continue
-        is_word = ch.isalnum()
-        if run and is_word != run_is_word:
-            tokens.append("".join(run))
-            run = []
-        run.append(ch)
-        run_is_word = is_word
-    if run:
-        tokens.append("".join(run))
-    return tokens
+    return _TOKEN.findall(text)
 
 
 def open_corpus(path: str | Path) -> BinaryIO:
@@ -88,24 +76,22 @@ def _binary_stream(source) -> tuple[BinaryIO, bool]:
     return source, False
 
 
-def stream_tokens(
+def stream_documents(
     source,
     config: TokenizerConfig = TokenizerConfig(),
-    base_doc_id: int = 0,
     base_offset: int = 0,
-) -> Iterator[tuple[int, str]]:
-    """Yield (document id, token) pairs in corpus order.
+) -> Iterator[list[str]]:
+    """Yield the tokens of each document in corpus order.
 
-    ``source`` may be a path, raw bytes, or a binary file object. Document
-    ids are assigned in reading order starting at ``base_doc_id``; with
-    line-bounded documents an empty line still consumes an id. Invalid
-    UTF-8 raises :class:`EncodingError` with the absolute byte offset
-    (``base_offset`` shifts offsets for shard readers).
+    ``source`` may be a path, raw bytes, or a binary file object. With
+    line-bounded documents every line is a document, an empty one included;
+    with blank-line-bounded documents only blocks holding tokens are
+    yielded. Invalid UTF-8 raises :class:`EncodingError` with the absolute
+    byte offset (``base_offset`` shifts offsets for shard readers).
     """
     stream, owned = _binary_stream(source)
-    doc_id = base_doc_id
     offset = base_offset
-    in_block = False
+    block: list[str] = []
     try:
         for raw in stream:
             try:
@@ -114,21 +100,25 @@ def stream_tokens(
                 raise EncodingError(offset + exc.start) from exc
             offset += len(raw)
             if config.doc_boundary == "line":
-                for tok in tokenize_line(text, config):
-                    yield doc_id, tok
-                doc_id += 1
-            else:
-                if not text.strip():
-                    if in_block:
-                        doc_id += 1
-                        in_block = False
-                else:
-                    in_block = True
-                    for tok in tokenize_line(text, config):
-                        yield doc_id, tok
+                yield tokenize_line(text, config)
+            elif text.strip():
+                block.extend(tokenize_line(text, config))
+            elif block:
+                yield block
+                block = []
+        if block:
+            yield block
     finally:
         if owned:
             stream.close()
+
+
+def stream_tokens(source, config: TokenizerConfig = TokenizerConfig()
+                  ) -> Iterator[tuple[int, str]]:
+    """Yield (document index, token) pairs of :func:`stream_documents`."""
+    for doc_id, tokens in enumerate(stream_documents(source, config)):
+        for token in tokens:
+            yield doc_id, token
 
 
 @dataclass
@@ -150,30 +140,21 @@ class FrequencyTable:
         return self.counts[token][1]
 
 
-def count_frequencies(stream: Iterable[tuple[int, str]]) -> FrequencyTable:
-    """Count unigram and document frequencies from a (doc id, token) stream.
+def count_frequencies(documents: Iterable[list[str]]) -> FrequencyTable:
+    """Count unigram and document frequencies over tokenized documents.
 
-    Tokens must arrive grouped by document (the contract of
-    :func:`stream_tokens`); document transitions are detected by id change.
+    Only documents holding tokens count towards ``total_documents``.
     """
     freqs: Counter[str] = Counter()
     doc_freqs: Counter[str] = Counter()
-    current: int | None = None
-    seen: set[str] = set()
-    total = 0
     docs = 0
-    for doc_id, token in stream:
-        if doc_id != current:
-            current = doc_id
+    for tokens in documents:
+        if tokens:
+            freqs.update(tokens)
+            doc_freqs.update(set(tokens))
             docs += 1
-            seen = set()
-        freqs[token] += 1
-        total += 1
-        if token not in seen:
-            seen.add(token)
-            doc_freqs[token] += 1
     counts = {t: (freqs[t], doc_freqs[t]) for t in freqs}
-    return FrequencyTable(counts, total, docs)
+    return FrequencyTable(counts, freqs.total(), docs)
 
 
 def merge_frequency_tables(tables: Iterable[FrequencyTable]) -> FrequencyTable:
@@ -193,11 +174,9 @@ def merge_frequency_tables(tables: Iterable[FrequencyTable]) -> FrequencyTable:
     return FrequencyTable(counts, total_tokens, total_documents)
 
 
-def _count_chunk(lines: bytes, base_doc_id: int, base_offset: int,
+def _count_chunk(lines: bytes, base_offset: int,
                  config: TokenizerConfig) -> FrequencyTable:
-    return count_frequencies(
-        stream_tokens(lines, config, base_doc_id=base_doc_id, base_offset=base_offset)
-    )
+    return count_frequencies(stream_documents(lines, config, base_offset))
 
 
 def count_corpus(path: str | Path, config: TokenizerConfig = TokenizerConfig(),
@@ -209,11 +188,9 @@ def count_corpus(path: str | Path, config: TokenizerConfig = TokenizerConfig(),
     sequentially.
     """
     if workers <= 1 or config.doc_boundary != "line":
-        return count_frequencies(stream_tokens(path, config))
-    tables = []
+        return count_frequencies(stream_documents(path, config))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = []
-        base_doc = 0
         base_offset = 0
         stream = open_corpus(path)
         try:
@@ -226,8 +203,7 @@ def count_corpus(path: str | Path, config: TokenizerConfig = TokenizerConfig(),
                 if not chunk:
                     break
                 blob = b"".join(chunk)
-                futures.append(pool.submit(_count_chunk, blob, base_doc, base_offset, config))
-                base_doc += len(chunk)
+                futures.append(pool.submit(_count_chunk, blob, base_offset, config))
                 base_offset += len(blob)
         finally:
             stream.close()

@@ -28,6 +28,31 @@ _ESCAPES = {"%": "%25", " ": "%20", "\t": "%09", "\n": "%0A", "\r": "%0D"}
 _UNESCAPES = {v: k for k, v in _ESCAPES.items()}
 
 
+class ByteReader:
+    """Bounds-checked reads over a whole binary file.
+
+    Every error names the path and the byte offset where reading stopped.
+    """
+
+    def __init__(self, path: str | Path):
+        self.path = path
+        self.data = memoryview(Path(path).read_bytes())
+        self.offset = 0
+
+    def take(self, size: int, what: str) -> memoryview:
+        if size > len(self.data) - self.offset:
+            raise ValueError(f"{self.path}: truncated {what} at byte "
+                             f"{self.offset}")
+        self.offset += size
+        return self.data[self.offset - size:self.offset]
+
+    def finish(self) -> None:
+        """Reject bytes after the last field read."""
+        if self.offset != len(self.data):
+            raise ValueError(f"{self.path}: {len(self.data) - self.offset} "
+                             f"trailing bytes at byte {self.offset}")
+
+
 def escape_token(token: str) -> str:
     out = token.replace("%", "%25")
     for ch, repl in _ESCAPES.items():
@@ -74,11 +99,11 @@ def write_embeddings_text(rows: np.ndarray, tokens: Sequence[str],
                           path: str | Path) -> None:
     n, dim = rows.shape
     escaped = _check_tokens(tokens, n)
+    line = "%s " + " ".join(["%.6g"] * dim) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as out:
         out.write(f"{n} {dim}\n")
         for token, row in zip(escaped, rows):
-            values = " ".join(f"{v:.6g}" for v in row)
-            out.write(f"{token} {values}\n")
+            out.write(line % (token, *row.tolist()))
 
 
 def read_embeddings_text(path: str | Path) -> tuple[np.ndarray, list[str]]:
@@ -113,35 +138,25 @@ def write_embeddings_binary(rows: np.ndarray, tokens: Sequence[str],
 
 
 def read_embeddings_binary(path: str | Path) -> tuple[np.ndarray, list[str]]:
-    data = memoryview(Path(path).read_bytes())
-    offset = 0
-
-    def take(size: int, what: str) -> memoryview:
-        nonlocal offset
-        if size > len(data) - offset:
-            raise ValueError(f"{path}: truncated {what} at byte {offset}")
-        offset += size
-        return data[offset - size:offset]
-
-    magic, version, n, dim = _BIN_HEADER.unpack(take(_BIN_HEADER.size, "header"))
+    reader = ByteReader(path)
+    magic, version, n, dim = _BIN_HEADER.unpack(
+        reader.take(_BIN_HEADER.size, "header"))
     if magic != EMBED_MAGIC:
         raise ValueError(f"{path}: not an embedding file")
     if version != EMBED_VERSION:
         raise ValueError(f"{path}: unsupported version {version}")
-    rows = np.frombuffer(take(n * dim * 4, "float block"), dtype="<f4")
+    rows = np.frombuffer(reader.take(n * dim * 4, "float block"), dtype="<f4")
     rows = rows.reshape(n, dim).astype(np.float32)
     tokens = []
     for i in range(n):
-        (length,) = struct.unpack("<I", take(4, f"length of token {i}"))
-        raw = take(length, f"token {i}")
+        (length,) = struct.unpack("<I", reader.take(4, f"length of token {i}"))
+        raw = reader.take(length, f"token {i}")
         try:
             tokens.append(str(raw, "utf-8"))
         except UnicodeDecodeError:
             raise ValueError(f"{path}: token {i} is not UTF-8 at byte "
-                             f"{offset - length}") from None
-    if offset != len(data):
-        raise ValueError(f"{path}: {len(data) - offset} trailing bytes at "
-                         f"byte {offset}")
+                             f"{reader.offset - length}") from None
+    reader.finish()
     return rows, tokens
 
 

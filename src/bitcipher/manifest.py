@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 
@@ -39,15 +39,6 @@ class Manifest:
     def record_output(self, name: str, path: str | Path) -> None:
         self.outputs[name] = {"path": str(path), "sha256": sha256_file(path)}
 
-    def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "version": self.version,
-            "config": self.config,
-            "inputs": self.inputs,
-            "outputs": self.outputs,
-        }
-
 
 def manifest_path(artifact_path: str | Path) -> Path:
     return Path(str(artifact_path) + ".manifest.json")
@@ -61,7 +52,7 @@ def write_json(obj, path: str | Path) -> None:
 
 
 def write_manifest(manifest: Manifest, path: str | Path) -> None:
-    write_json(manifest.to_dict(), path)
+    write_json(asdict(manifest), path)
 
 
 def read_manifest(path: str | Path) -> Manifest:

@@ -27,17 +27,6 @@ class PostprocReport:
     rows_normalized: int = 0
     zero_rows: int = 0
 
-    def to_dict(self) -> dict:
-        return {
-            "steps": list(self.steps),
-            "epsilon": self.epsilon,
-            "degenerate_directions": self.degenerate_directions,
-            "pre_covariance_condition": self.pre_covariance_condition,
-            "post_covariance_condition": self.post_covariance_condition,
-            "rows_normalized": self.rows_normalized,
-            "zero_rows": self.zero_rows,
-        }
-
 
 def _covariance(x: np.ndarray) -> np.ndarray:
     centered = x - x.mean(axis=0)

@@ -108,19 +108,6 @@ class ProbeHyperparams:
     patience: int = 5
     seed: int = 0
 
-    def to_dict(self) -> dict:
-        return {
-            "hidden": self.hidden,
-            "dropout": self.dropout,
-            "leaky_slope": self.leaky_slope,
-            "learning_rate": self.learning_rate,
-            "momentum": self.momentum,
-            "batch_size": self.batch_size,
-            "epochs": self.epochs,
-            "patience": self.patience,
-            "seed": self.seed,
-        }
-
 
 def _log_softmax(z: np.ndarray) -> np.ndarray:
     shifted = z - z.max(axis=1, keepdims=True)

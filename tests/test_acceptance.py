@@ -143,14 +143,14 @@ def test_criterion_3_report():
 
 def test_criterion_4_dimension_law():
     text = b"a b c d e f g h i j\nk l m n o p q r s t\n"
-    table = bc.count_frequencies(bc.stream_tokens(text))
+    table = bc.count_frequencies(bc.stream_documents(text))
     expected = {25: 200, 50: 400, 100: 800, 200: 1600}
     for bits, dim in expected.items():
         vocab = bc.build_vocabulary(table, bits)
         pair = bc.build_cipher(vocab.size, bits)
         noise = bc.build_noise_model(table, vocab, pair, "unigram")
         config = bc.ContextConfig(radius=4, mode="cat")
-        out = bc.embed_corpus(bc.stream_tokens(text), vocab, pair, noise,
+        out = bc.embed_corpus(bc.stream_documents(text), vocab, pair, noise,
                               config)
         assert out.dim == dim == 2 * 4 * bits
         assert config.output_dim(bits) == dim
@@ -193,7 +193,7 @@ def test_criterion_5_cooccurrence_oracle_equivalence():
     start = time.monotonic()
     sentences = generate_tagged_sentences(30_000, seed=11)
     text = sentences_to_text(sentences).encode()
-    table = bc.count_frequencies(bc.stream_tokens(text))
+    table = bc.count_frequencies(bc.stream_documents(text))
     vocab = bc.build_vocabulary(table, bits=9)
     pair = bc.build_cipher(vocab.size, 9)
     noise = bc.build_noise_model(table, vocab, pair, "df")
@@ -204,7 +204,7 @@ def test_criterion_5_cooccurrence_oracle_equivalence():
                                 ("sum", False), ("cat", False)):
         config = bc.ContextConfig(radius=4, mode=mode,
                                   log_weighting=log_weighting)
-        fused = bc.embed_corpus(bc.stream_tokens(text), vocab, pair, noise,
+        fused = bc.embed_corpus(bc.stream_documents(text), vocab, pair, noise,
                                 config)
         expected = _brute_force_embedding(docs, vocab, nu.rows, config)
         assert np.all(np.abs(fused.rows - expected) < 1e-9)
@@ -212,9 +212,9 @@ def test_criterion_5_cooccurrence_oracle_equivalence():
     # cat slots fold back to the sum rows (linear weighting)
     config_cat = bc.ContextConfig(radius=4, mode="cat")
     config_sum = bc.ContextConfig(radius=4, mode="sum")
-    cat = bc.embed_corpus(bc.stream_tokens(text), vocab, pair, noise,
+    cat = bc.embed_corpus(bc.stream_documents(text), vocab, pair, noise,
                           config_cat)
-    summed = bc.embed_corpus(bc.stream_tokens(text), vocab, pair, noise,
+    summed = bc.embed_corpus(bc.stream_documents(text), vocab, pair, noise,
                              config_sum)
     bits = pair.bits
     folded = sum(cat.rows[:, s * bits:(s + 1) * bits] for s in range(8))
@@ -315,12 +315,12 @@ def test_criterion_8_probe_sanity():
     # baseline on a held-out-type tagging task
     sentences = generate_tagged_sentences(100_000, seed=42)
     text = sentences_to_text(sentences).encode()
-    table = bc.count_frequencies(bc.stream_tokens(text))
+    table = bc.count_frequencies(bc.stream_documents(text))
     corpus_vocab = bc.build_vocabulary(table, bits=25)
     pair = bc.build_cipher(corpus_vocab.size, 25)
     noise = bc.build_noise_model(table, corpus_vocab, pair, "df")
     config = bc.ContextConfig(radius=4, mode="sum", log_weighting=True)
-    embeddings = bc.embed_corpus(bc.stream_tokens(text), corpus_vocab, pair,
+    embeddings = bc.embed_corpus(bc.stream_documents(text), corpus_vocab, pair,
                                  noise, config)
     embeddings, _ = bc.pipeline(embeddings)
 

@@ -275,6 +275,28 @@ def test_cipher_load_rejects_other_files(tmp_path):
         load_cipher(path)
 
 
+@pytest.mark.parametrize("case", ["cut_header", "cut_bit_rows", "cut_floats",
+                                  "trailing_bytes"])
+def test_cipher_load_rejects_corrupt_files(tmp_path, case):
+    # 100 x 9: 14-byte header, 2-byte mode tag, 200 bytes of bit rows, then
+    # 3600 bytes of float32 plain rows
+    path = tmp_path / "cipher.bin"
+    save_cipher(build_cipher(100, 9), path, mode="df")
+    data = path.read_bytes()
+    assert len(data) == 3816
+    bad, message = {
+        "cut_header": (data[:10], "truncated header at byte 0"),
+        "cut_bit_rows": (data[:100], "truncated bit rows at byte 16"),
+        "cut_floats": (data[:-1], "truncated plain rows at byte 216"),
+        "trailing_bytes": (data + b"\x00\x01\x02",
+                           "3 trailing bytes at byte 3816"),
+    }[case]
+    path.write_bytes(bad)
+    with pytest.raises(ValueError) as err:
+        load_cipher(path)
+    assert str(err.value) == f"{path}: {message}"
+
+
 def test_cipher_text_dump(tmp_path):
     pair = build_cipher(7, 5)
     path = tmp_path / "cipher.txt"

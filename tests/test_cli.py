@@ -152,6 +152,22 @@ def test_embed_save_cipher(tmp_path, corpus_file):
     assert pair.bits == 6
 
 
+def test_embed_rejects_another_corpus_frequency_table(tmp_path, corpus_file,
+                                                     capsys):
+    other = tmp_path / "other.txt"
+    other.write_text("an unrelated line of text\n")
+    freq = tmp_path / "freq_other.tsv"
+    assert main(["count", str(other), "--out", str(freq)]) == 0
+    out = tmp_path / "emb.txt"
+    capsys.readouterr()
+    assert main(["embed", str(corpus_file), "--freq", str(freq),
+                 "--out", str(out), "--bits", "6"]) == 2
+    err = capsys.readouterr().err
+    assert str(corpus_file) in err and str(freq) in err
+    assert not out.exists()
+    assert not Path(str(out) + ".manifest.json").exists()
+
+
 def test_postproc_command(tmp_path, corpus_file):
     code, out = _run_embed(tmp_path, corpus_file, "emb.txt",
                            "--bits", "4", "--radius", "2", "--mode", "sum")

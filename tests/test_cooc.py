@@ -10,12 +10,12 @@ from bitcipher.cipher import build_cipher, build_noise_model, noisy_vectors
 from bitcipher.cooc import (ContextConfig, CoocCounts, accumulate_cooccurrence,
                             aggregate, embed_corpus)
 from bitcipher.corpus import (build_vocabulary, count_frequencies,
-                              stream_tokens)
+                              stream_documents)
 from bitcipher.synth import generate_tagged_sentences, sentences_to_text
 
 
 def _setup(text, bits, noise_mode="unigram", max_vocab=None):
-    table = count_frequencies(stream_tokens(text))
+    table = count_frequencies(stream_documents(text))
     vocab = build_vocabulary(table, bits, max_vocab=max_vocab)
     pair = build_cipher(vocab.size, bits)
     noise = build_noise_model(table, vocab, pair, noise_mode)
@@ -87,7 +87,7 @@ def test_hand_enumerated_sum_counts():
     text = b"a b a\n"
     _, vocab, _, _ = _setup(text, 3)
     a, b = vocab.row_for("a"), vocab.row_for("b")
-    counts = accumulate_cooccurrence(stream_tokens(text), vocab,
+    counts = accumulate_cooccurrence(stream_documents(text), vocab,
                                      ContextConfig(radius=1, mode="sum"))
     assert _cells(counts) == {(a, b): 2, (b, a): 2}
 
@@ -96,7 +96,7 @@ def test_hand_enumerated_cat_counts():
     text = b"a b a\n"
     _, vocab, _, _ = _setup(text, 3)
     a, b = vocab.row_for("a"), vocab.row_for("b")
-    counts = accumulate_cooccurrence(stream_tokens(text), vocab,
+    counts = accumulate_cooccurrence(stream_documents(text), vocab,
                                      ContextConfig(radius=1, mode="cat"))
     assert _cells(counts) == {(a, 1, b): 1, (a, -1, b): 1,
                               (b, -1, a): 1, (b, 1, a): 1}
@@ -105,7 +105,7 @@ def test_hand_enumerated_cat_counts():
 def test_windows_do_not_cross_documents():
     text = b"a b\nc d\n"
     _, vocab, _, _ = _setup(text, 3)
-    counts = accumulate_cooccurrence(stream_tokens(text), vocab,
+    counts = accumulate_cooccurrence(stream_documents(text), vocab,
                                      ContextConfig(radius=4, mode="sum"))
     first = {vocab.row_for("a"), vocab.row_for("b")}
     second = {vocab.row_for("c"), vocab.row_for("d")}
@@ -114,11 +114,11 @@ def test_windows_do_not_cross_documents():
 
 
 def test_every_document_id_change_starts_a_new_window():
-    # a repeated id after a change is a new document, not a continuation
-    stream = [(0, "a"), (1, "b"), (0, "a"), (0, "b")]
+    # equal tokens in a later document are a new window, not a continuation
+    documents = [["a"], ["b"], ["a", "b"]]
     _, vocab, _, _ = _setup(b"a b\n", 3)
     a, b = vocab.row_for("a"), vocab.row_for("b")
-    counts = accumulate_cooccurrence(stream, vocab,
+    counts = accumulate_cooccurrence(documents, vocab,
                                      ContextConfig(radius=3, mode="sum"))
     assert _cells(counts) == {(a, b): 1, (b, a): 1}
 
@@ -137,7 +137,7 @@ def test_counts_match_brute_force(mode):
     text = _random_corpus(rng, 1000)
     _, vocab, _, _ = _setup(text, 6)  # capacity 63 > 30 types
     config = ContextConfig(radius=4, mode=mode)
-    counts = accumulate_cooccurrence(stream_tokens(text), vocab, config)
+    counts = accumulate_cooccurrence(stream_documents(text), vocab, config)
     docs = [line.split() for line in text.decode().splitlines()]
     assert _cells(counts) == _brute_force_counts(docs, vocab, config)
 
@@ -146,7 +146,7 @@ def test_oov_neighbors_use_oov_row():
     text = b"a b c a b c rare\n"
     _, vocab, _, _ = _setup(text, 3, max_vocab=3)
     assert vocab.row_for("rare") == vocab.oov_index
-    counts = accumulate_cooccurrence(stream_tokens(text), vocab,
+    counts = accumulate_cooccurrence(stream_documents(text), vocab,
                                      ContextConfig(radius=1, mode="sum"))
     oov = vocab.oov_index
     c = vocab.row_for("c")
@@ -186,7 +186,7 @@ def test_self_cooccurrence_of_repeated_token():
     nu = noisy_vectors(pair, noise)
     x = vocab.row_for("x")
     config = ContextConfig(radius=1, mode="sum")
-    out = embed_corpus(stream_tokens(text), vocab, pair, noise, config)
+    out = embed_corpus(stream_documents(text), vocab, pair, noise, config)
     # neighbors are the token itself: 6 windowed pairs in the first document
     assert np.allclose(out.rows[x], 6 * nu.rows[x], atol=1e-12)
 
@@ -196,9 +196,9 @@ def test_include_center_adds_own_vector_once():
     _, vocab, pair, noise = _setup(text, 4)
     nu = noisy_vectors(pair, noise)
     a = vocab.row_for("a")
-    base = embed_corpus(stream_tokens(text), vocab, pair, noise,
+    base = embed_corpus(stream_documents(text), vocab, pair, noise,
                         ContextConfig(radius=1, mode="sum"))
-    with_center = embed_corpus(stream_tokens(text), vocab, pair, noise,
+    with_center = embed_corpus(stream_documents(text), vocab, pair, noise,
                                ContextConfig(radius=1, mode="sum",
                                              include_center=True))
     assert np.allclose(with_center.rows[a], base.rows[a] + nu.rows[a])
@@ -207,9 +207,9 @@ def test_include_center_adds_own_vector_once():
 def test_cat_ignores_include_center():
     text = b"a b c\n"
     _, vocab, pair, noise = _setup(text, 4)
-    plain = embed_corpus(stream_tokens(text), vocab, pair, noise,
+    plain = embed_corpus(stream_documents(text), vocab, pair, noise,
                          ContextConfig(radius=2, mode="cat"))
-    flagged = embed_corpus(stream_tokens(text), vocab, pair, noise,
+    flagged = embed_corpus(stream_documents(text), vocab, pair, noise,
                            ContextConfig(radius=2, mode="cat",
                                          include_center=True))
     assert np.array_equal(plain.rows, flagged.rows)
@@ -221,9 +221,9 @@ def test_cat_ignores_include_center():
 def test_dimension_law(bits, radius):
     text = b"a b c d e f g h\n"
     _, vocab, pair, noise = _setup(text, bits)
-    sum_out = embed_corpus(stream_tokens(text), vocab, pair, noise,
+    sum_out = embed_corpus(stream_documents(text), vocab, pair, noise,
                            ContextConfig(radius=radius, mode="sum"))
-    cat_out = embed_corpus(stream_tokens(text), vocab, pair, noise,
+    cat_out = embed_corpus(stream_documents(text), vocab, pair, noise,
                            ContextConfig(radius=radius, mode="cat"))
     assert sum_out.dim == bits
     assert cat_out.dim == 2 * radius * bits
@@ -236,9 +236,9 @@ def test_cat_slot_sum_equals_sum_row():
     text = _random_corpus(rng, 800)
     _, vocab, pair, noise = _setup(text, 6)
     radius = 3
-    cat = embed_corpus(stream_tokens(text), vocab, pair, noise,
+    cat = embed_corpus(stream_documents(text), vocab, pair, noise,
                        ContextConfig(radius=radius, mode="cat"))
-    summed = embed_corpus(stream_tokens(text), vocab, pair, noise,
+    summed = embed_corpus(stream_documents(text), vocab, pair, noise,
                           ContextConfig(radius=radius, mode="sum"))
     bits = pair.bits
     folded = sum(cat.rows[:, s * bits:(s + 1) * bits]
@@ -251,9 +251,9 @@ def test_offset_marginal_matches_sum_counts():
     rng = random.Random(13)
     text = _random_corpus(rng, 600)
     _, vocab, _, _ = _setup(text, 6)
-    cat = accumulate_cooccurrence(stream_tokens(text), vocab,
+    cat = accumulate_cooccurrence(stream_documents(text), vocab,
                                   ContextConfig(radius=2, mode="cat"))
-    summed = accumulate_cooccurrence(stream_tokens(text), vocab,
+    summed = accumulate_cooccurrence(stream_documents(text), vocab,
                                      ContextConfig(radius=2, mode="sum"))
     marginal = _fold(((center, context), c)
                      for (center, _, context), c in _cells(cat).items())
@@ -265,8 +265,8 @@ def test_fused_equals_two_phase():
     text = _random_corpus(rng, 2000)
     _, vocab, pair, noise = _setup(text, 6, noise_mode="df")
     config = ContextConfig(radius=4, mode="cat", log_weighting=True)
-    fused = embed_corpus(stream_tokens(text), vocab, pair, noise, config)
-    counts = accumulate_cooccurrence(stream_tokens(text), vocab, config)
+    fused = embed_corpus(stream_documents(text), vocab, pair, noise, config)
+    counts = accumulate_cooccurrence(stream_documents(text), vocab, config)
     two_phase = aggregate(counts, noisy_vectors(pair, noise), config)
     assert np.all(np.abs(fused.rows - two_phase.rows) < 1e-9)
 
@@ -278,7 +278,7 @@ def test_fused_matches_independent_brute_force():
     nu = noisy_vectors(pair, noise)
     for mode in ("sum", "cat"):
         config = ContextConfig(radius=4, mode=mode, log_weighting=True)
-        fused = embed_corpus(stream_tokens(text), vocab, pair, noise, config)
+        fused = embed_corpus(stream_documents(text), vocab, pair, noise, config)
         docs = [line.split() for line in text.decode().splitlines()]
         counts = _brute_force_counts(docs, vocab, config)
         expected = _brute_force_rows(counts, nu.rows, config, vocab.size + 1)
@@ -290,8 +290,8 @@ def test_rows_with_neighbors_are_nonzero():
     text = _random_corpus(rng, 500)
     _, vocab, pair, noise = _setup(text, 6)
     config = ContextConfig(radius=2, mode="sum")
-    counts = accumulate_cooccurrence(stream_tokens(text), vocab, config)
-    out = embed_corpus(stream_tokens(text), vocab, pair, noise, config)
+    counts = accumulate_cooccurrence(stream_documents(text), vocab, config)
+    out = embed_corpus(stream_documents(text), vocab, pair, noise, config)
     centers_with_neighbors = {c for c, _ in _cells(counts)}
     for center in centers_with_neighbors:
         assert np.any(out.rows[center] != 0.0)
@@ -301,7 +301,7 @@ def test_empty_corpus_gives_zero_matrix():
     text = b""
     table, vocab, pair, noise = _setup(b"a b\n", 4)  # vocab from a real corpus
     config = ContextConfig(radius=2, mode="cat")
-    out = embed_corpus(stream_tokens(text), vocab, pair, noise, config)
+    out = embed_corpus(stream_documents(text), vocab, pair, noise, config)
     assert out.rows.shape == (vocab.size + 1, 2 * 2 * 4)
     assert np.all(out.rows == 0.0)
 
@@ -310,16 +310,14 @@ def test_empty_corpus_gives_zero_matrix():
        st.integers(0, 7), st.integers(1, 3), st.sampled_from(["sum", "cat"]))
 def test_shard_merge_equals_single_pass(docs, cut, radius, mode):
     words = [f"w{i}" for i in range(6)]
-    stream = [(i, words[t]) for i, doc in enumerate(docs) for t in doc]
-    table = count_frequencies(stream) if stream else None
-    if table is None or not table.counts:
+    documents = [[words[t] for t in doc] for doc in docs]
+    table = count_frequencies(documents)
+    if not table.counts:
         return
     vocab = build_vocabulary(table, 4)
     config = ContextConfig(radius=radius, mode=mode)
-    whole = accumulate_cooccurrence(stream, vocab, config)
-    cut = min(cut, len(docs))
-    first = [(i, t) for i, t in stream if i < cut]
-    second = [(i, t) for i, t in stream if i >= cut]
+    whole = accumulate_cooccurrence(documents, vocab, config)
+    first, second = documents[:cut], documents[cut:]
     merged = _fold(_cells(accumulate_cooccurrence(first, vocab, config)).items(),
                    _cells(accumulate_cooccurrence(second, vocab, config)).items())
     assert merged == _cells(whole)
@@ -331,8 +329,8 @@ def test_monotone_growth_when_adding_documents():
     extra = base + _random_corpus(rng, 100)
     _, vocab, _, _ = _setup(extra, 6)
     config = ContextConfig(radius=2, mode="sum")
-    before = accumulate_cooccurrence(stream_tokens(base), vocab, config)
-    after = accumulate_cooccurrence(stream_tokens(extra), vocab, config)
+    before = accumulate_cooccurrence(stream_documents(base), vocab, config)
+    after = accumulate_cooccurrence(stream_documents(extra), vocab, config)
     after_cells = _cells(after)
     for key, c in _cells(before).items():
         assert after_cells.get(key, 0) >= c
@@ -342,7 +340,7 @@ def test_aggregate_rejects_mismatched_config():
     text = b"a b\n"
     _, vocab, pair, noise = _setup(text, 4)
     nu = noisy_vectors(pair, noise)
-    counts = accumulate_cooccurrence(stream_tokens(text), vocab,
+    counts = accumulate_cooccurrence(stream_documents(text), vocab,
                                      ContextConfig(radius=1, mode="sum"))
     with pytest.raises(ValueError):
         aggregate(counts, nu, ContextConfig(radius=2, mode="sum"))
@@ -361,7 +359,7 @@ def test_key_space_overflow_is_rejected():
     text = b"a b c\n"
     _, vocab, _, _ = _setup(text, 3)
     with pytest.raises(ValueError, match="key space"):
-        accumulate_cooccurrence(stream_tokens(text), vocab,
+        accumulate_cooccurrence(stream_documents(text), vocab,
                                 ContextConfig(radius=2 ** 62, mode="cat"))
 
 
@@ -379,11 +377,11 @@ GOLDEN_ROWS_SHA256 = {
 ], ids=["sum", "cat"])
 def test_embedding_bytes_match_golden_digest(config):
     text = sentences_to_text(generate_tagged_sentences(5_000, seed=3)).encode()
-    table = count_frequencies(stream_tokens(text))
+    table = count_frequencies(stream_documents(text))
     vocab = build_vocabulary(table, 8, max_vocab=150)
     assert vocab.size < len(table.counts)  # some tokens land on the OOV row
     pair = build_cipher(vocab.size, 8)
     noise = build_noise_model(table, vocab, pair, "df")
-    rows = embed_corpus(stream_tokens(text), vocab, pair, noise, config).rows
+    rows = embed_corpus(stream_documents(text), vocab, pair, noise, config).rows
     assert hashlib.sha256(rows.tobytes()).hexdigest() == \
         GOLDEN_ROWS_SHA256[config.mode]

@@ -1,6 +1,7 @@
 import gzip
 import random
 import re
+import sys
 from collections import defaultdict
 
 import pytest
@@ -9,8 +10,9 @@ from hypothesis import given, strategies as st
 from bitcipher.corpus import (EncodingError, FrequencyTable, TokenizerConfig,
                               build_vocabulary, count_corpus,
                               count_frequencies, merge_frequency_tables,
-                              read_frequency_table, stream_tokens,
-                              tokenize_line, write_frequency_table)
+                              read_frequency_table, stream_documents,
+                              stream_tokens, tokenize_line,
+                              write_frequency_table)
 
 
 def test_stream_basic_line():
@@ -26,12 +28,70 @@ def test_stream_doc_ids_per_line():
     out = list(stream_tokens(b"a b\nb c"))
     assert [doc for doc, _ in out] == [0, 0, 1, 1]
     assert [tok for _, tok in out] == ["a", "b", "b", "c"]
+    # an empty line is a document too, so it takes an id
+    assert [doc for doc, _ in stream_tokens(b"a\n\nb")] == [0, 2]
 
 
 def test_stream_blank_line_boundary():
     config = TokenizerConfig(doc_boundary="blank")
     out = list(stream_tokens(b"a b\nc\n\n\nd e\n", config))
     assert out == [(0, "a"), (0, "b"), (0, "c"), (1, "d"), (1, "e")]
+
+
+def test_stream_documents_keeps_empty_lines():
+    assert list(stream_documents(b"a b\n\nc\n")) == [["a", "b"], [], ["c"]]
+
+
+def test_stream_documents_blank_mode_skips_empty_blocks():
+    config = TokenizerConfig(doc_boundary="blank")
+    text = b"\n\na\nb c\n \n\t\n\nd\n\n"
+    assert list(stream_documents(text, config)) == [["a", "b", "c"], ["d"]]
+
+
+def _tokenize_by_characters(text, config):
+    """The character-loop splitter the regex replaced, kept as the oracle."""
+    if config.lowercase:
+        text = text.lower()
+    if not config.split_punctuation:
+        return text.split()
+    tokens, run, run_is_word = [], [], False
+    for ch in text:
+        if ch.isspace():
+            if run:
+                tokens.append("".join(run))
+                run = []
+            continue
+        is_word = ch.isalnum()
+        if run and is_word != run_is_word:
+            tokens.append("".join(run))
+            run = []
+        run.append(ch)
+        run_is_word = is_word
+    if run:
+        tokens.append("".join(run))
+    return tokens
+
+
+def test_token_regex_classes_match_str_predicates():
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert set(re.findall(r"\w", every)) == \
+        {c for c in every if c.isalnum() or c == "_"}
+    assert set(re.findall(r"\s", every)) == {c for c in every if c.isspace()}
+
+
+# Characters where a regex class and a str predicate could plausibly part:
+# underscore, superscript digit, combining marks, non-ASCII and control
+# spaces, a capital whose lowercase is two characters, a titlecase letter.
+_TRICKY = "_²\u0301\u0308\u00a0\u2003\u3000\x1c\x85\u2028İǅ٣.-'"
+
+
+@given(st.text(alphabet=st.one_of(st.characters(), st.sampled_from(_TRICKY)),
+               max_size=40),
+       st.booleans(), st.booleans())
+def test_tokenize_matches_character_loop(text, lowercase, split_punctuation):
+    config = TokenizerConfig(lowercase=lowercase,
+                             split_punctuation=split_punctuation)
+    assert tokenize_line(text, config) == _tokenize_by_characters(text, config)
 
 
 def test_tokenize_punctuation_runs():
@@ -55,6 +115,9 @@ def test_stream_invalid_utf8_reports_offset():
         list(stream_tokens(b"ok\n\xffbad\n"))
     assert err.value.offset == 3
     assert "byte offset 3" in str(err.value)
+    with pytest.raises(EncodingError) as err:
+        list(stream_documents(b"ok\n\xffbad\n", base_offset=100))
+    assert err.value.offset == 103
 
 
 def test_stream_gzip_transparent(tmp_path):
@@ -68,7 +131,7 @@ def test_stream_gzip_transparent(tmp_path):
 
 
 def test_count_basic():
-    table = count_frequencies([(0, "a"), (0, "a"), (1, "a"), (1, "b")])
+    table = count_frequencies([["a", "a"], ["a", "b"]])
     assert table.counts["a"] == (3, 2)
     assert table.counts["b"] == (1, 1)
     assert table.total_tokens == 4
@@ -76,7 +139,7 @@ def test_count_basic():
 
 
 def test_count_single_token():
-    table = count_frequencies([(0, "x")])
+    table = count_frequencies([["x"]])
     assert table.counts["x"] == (1, 1)
     assert table.total_tokens == 1
     assert table.total_documents == 1
@@ -84,6 +147,7 @@ def test_count_single_token():
 
 def test_count_empty_stream():
     table = count_frequencies([])
+    assert table == count_frequencies([[], []])
     assert table.counts == {}
     assert table.total_tokens == 0
     assert table.total_documents == 0
@@ -93,7 +157,7 @@ def _brute_force_count(text):
     """Independent recount: regex tokenization plus plain dict counting.
 
     The regex classes are exact for the ASCII-only fixture corpora used
-    below; the package itself never touches regexes.
+    below.
     """
     f = defaultdict(int)
     docs = defaultdict(set)
@@ -117,7 +181,7 @@ def test_count_matches_brute_force_recount(write_corpus):
              for _ in range(10)]
     text = "\n".join(lines) + "\n"
     path = write_corpus(text)
-    table = count_frequencies(stream_tokens(path))
+    table = count_frequencies(stream_documents(path))
     f, d, total, n_docs = _brute_force_count(text)
     assert table.total_tokens == total
     assert table.total_documents == n_docs
@@ -128,11 +192,8 @@ def test_count_matches_brute_force_recount(write_corpus):
 @given(st.lists(st.lists(st.sampled_from("abcde"), max_size=6), max_size=12),
        st.integers(0, 11))
 def test_shard_merge_equals_single_pass(docs, cut):
-    stream = [(i, tok) for i, doc in enumerate(docs) for tok in doc]
-    whole = count_frequencies(stream)
-    cut = min(cut, len(docs))
-    first = [(i, t) for i, t in stream if i < cut]
-    second = [(i, t) for i, t in stream if i >= cut]
+    whole = count_frequencies(docs)
+    first, second = docs[:cut], docs[cut:]
     merged = merge_frequency_tables([count_frequencies(first),
                                      count_frequencies(second)])
     assert merged == whole
@@ -211,6 +272,6 @@ def test_frequency_table_round_trip(tmp_path):
 
 def test_counting_deterministic(write_corpus):
     path = write_corpus("the cat sat\nthe dog ran\n")
-    first = count_frequencies(stream_tokens(path))
-    second = count_frequencies(stream_tokens(path))
+    first = count_frequencies(stream_documents(path))
+    second = count_frequencies(stream_documents(path))
     assert first == second
