@@ -166,7 +166,18 @@ def is_binary_embedding_file(path: str | Path) -> bool:
 
 
 def read_embeddings(path: str | Path) -> tuple[np.ndarray, list[str]]:
-    """Read either format, sniffing the binary magic."""
+    """Read either format, sniffing the binary magic.
+
+    Rows holding NaN or infinity are rejected with the path and the first
+    such row, so no command turns them into an artifact.
+    """
     if is_binary_embedding_file(path):
-        return read_embeddings_binary(path)
-    return read_embeddings_text(path)
+        rows, tokens = read_embeddings_binary(path)
+    else:
+        rows, tokens = read_embeddings_text(path)
+    finite = np.isfinite(rows).all(axis=1)
+    if not finite.all():
+        row = int(np.argmin(finite))
+        raise ValueError(f"{path}: row {row} ({tokens[row]!r}) holds a "
+                         "non-finite value")
+    return rows, tokens

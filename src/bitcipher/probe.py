@@ -7,6 +7,7 @@ trained by mini-batch SGD with momentum on the negative log-likelihood.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -108,6 +109,24 @@ class ProbeHyperparams:
     patience: int = 5
     seed: int = 0
 
+    def __post_init__(self):
+        for name in ("hidden", "batch_size", "epochs", "patience"):
+            if not getattr(self, name) >= 1:
+                raise ValueError(f"{name} must be at least 1, got "
+                                 f"{getattr(self, name)}")
+        # Comparisons are written so that NaN fails them.
+        if not 0.0 <= self.dropout < 1.0:
+            raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
+        if not 0.0 < self.leaky_slope < 1.0:
+            raise ValueError(f"leaky_slope must be in (0, 1), got "
+                             f"{self.leaky_slope}")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be finite and positive, "
+                             f"got {self.learning_rate}")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ValueError(f"momentum must be in [0, 1), got "
+                             f"{self.momentum}")
+
 
 def _log_softmax(z: np.ndarray) -> np.ndarray:
     shifted = z - z.max(axis=1, keepdims=True)
@@ -132,13 +151,20 @@ class ProbeModel:
     def params(self) -> dict[str, np.ndarray]:
         return {"w1": self.w1, "b1": self.b1, "w2": self.w2, "b2": self.b2}
 
-    def _leaky(self, z: np.ndarray) -> np.ndarray:
-        return np.where(z > 0, z, self.hp.leaky_slope * z)
+    def _hidden(self, x: np.ndarray) -> np.ndarray:
+        """LeakyReLU(x @ w1 + b1), computed in one buffer.
+
+        For 0 < slope < 1, ``max(z, slope*z)`` equals
+        ``where(z > 0, z, slope*z)`` bit for bit, without the per-element
+        branch that mispredicts on random signs.
+        """
+        h = x @ self.w1
+        h += self.b1
+        return np.maximum(h, self.hp.leaky_slope * h, out=h)
 
     def log_proba(self, x: np.ndarray) -> np.ndarray:
         """Forward pass with dropout disabled (deterministic)."""
-        hidden = self._leaky(x @ self.w1 + self.b1)
-        return _log_softmax(hidden @ self.w2 + self.b2)
+        return _log_softmax(self._hidden(x) @ self.w2 + self.b2)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         return self.log_proba(x).argmax(axis=1)
@@ -151,12 +177,12 @@ class ProbeModel:
         without it the pass is deterministic (used at evaluation time and by
         the finite-difference gradient check).
         """
-        z1 = x @ self.w1 + self.b1
-        a1 = self._leaky(z1)
+        a1 = self._hidden(x)
+        pos = a1 > 0  # the pre-activation's sign, read before dropout
         keep = 1.0 - self.hp.dropout
         if dropout_rng is not None and self.hp.dropout > 0.0:
             mask = (dropout_rng.random(a1.shape) < keep) / keep
-            a1 = a1 * mask
+            a1 *= mask
         else:
             mask = None
         logp = _log_softmax(a1 @ self.w2 + self.b2)
@@ -172,10 +198,10 @@ class ProbeModel:
         }
         da1 = dz2 @ self.w2.T
         if mask is not None:
-            da1 = da1 * mask
-        dz1 = da1 * np.where(z1 > 0, 1.0, self.hp.leaky_slope)
-        grads["w1"] = x.T @ dz1
-        grads["b1"] = dz1.sum(axis=0)
+            da1 *= mask
+        da1 *= np.maximum(pos, self.hp.leaky_slope)  # LeakyReLU derivative
+        grads["w1"] = x.T @ da1
+        grads["b1"] = da1.sum(axis=0)
         return loss, grads
 
     def snapshot(self) -> dict[str, np.ndarray]:
@@ -272,8 +298,12 @@ def train_probe(matrix: EmbeddingMatrix, vocab: Vocabulary,
                                                dropout_rng=rng)
             epoch_loss += loss * len(batch)
             for name, grad in grads.items():
-                velocity[name] = hp.momentum * velocity[name] - hp.learning_rate * grad
-                model.params[name] += velocity[name]
+                # v = momentum * v - learning_rate * grad, in place
+                v = velocity[name]
+                v *= hp.momentum
+                grad *= hp.learning_rate
+                v -= grad
+                model.params[name] += v
         history.append(epoch_loss / n)
         if x_dev is None:
             best_state = model.snapshot()

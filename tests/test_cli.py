@@ -246,6 +246,75 @@ def test_probe_dimension_mismatch_reported(tmp_path, corpus_file, capsys):
     assert "expected" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--dropout", "1.0"), ("--dropout", "-0.1"), ("--dropout", "nan"),
+    ("--hidden", "0"), ("--batch-size", "0"), ("--epochs", "0"),
+    ("--patience", "0"), ("--lr", "0"), ("--lr", "inf"), ("--lr", "nan"),
+    ("--momentum", "1.0"), ("--momentum", "-0.5"), ("--momentum", "nan"),
+])
+def test_probe_rejects_out_of_range_hyperparams(tmp_path, corpus_file,
+                                               capsys, flag, value):
+    code, emb = _run_embed(tmp_path, corpus_file, "emb.txt",
+                           "--bits", "5", "--radius", "2", "--mode", "sum")
+    assert code == 0
+    conll = tmp_path / "data.conll"
+    conll.write_text(CONLL)
+    metrics_out = tmp_path / "metrics.json"
+    capsys.readouterr()
+    assert main(["probe", str(emb), "--train", str(conll), "--dev", str(conll),
+                 "--test", str(conll), "--metrics-out", str(metrics_out),
+                 "--epochs", "2", flag, value]) == 2
+    assert "must be" in capsys.readouterr().err
+    assert not metrics_out.exists()
+    assert not Path(str(metrics_out) + ".manifest.json").exists()
+
+
+def _poison_embeddings(tmp_path, corpus_file, case):
+    """An embedding file whose row 1 holds one non-finite value."""
+    code, emb = _run_embed(tmp_path, corpus_file, "emb.txt",
+                           "--bits", "5", "--radius", "2", "--mode", "sum")
+    assert code == 0
+    if case == "binary_nan":
+        binary = tmp_path / "emb.bin"
+        assert main(["export", str(emb), "--out", str(binary),
+                     "--format", "binary"]) == 0
+        data = bytearray(binary.read_bytes())
+        at = 16 + 4 * (5 + 2)  # header, then row 1, column 2 (float32)
+        data[at:at + 4] = np.array([np.nan], dtype="<f4").tobytes()
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(bytes(data))
+        return bad
+    lines = emb.read_text().splitlines()
+    parts = lines[2].split()
+    parts[3] = case.split("_")[1]  # row 1, column 2
+    lines[2] = " ".join(parts)
+    bad = tmp_path / "bad.txt"
+    bad.write_text("\n".join(lines) + "\n")
+    return bad
+
+
+@pytest.mark.parametrize("command", ["probe", "postproc", "export"])
+@pytest.mark.parametrize("case", ["text_nan", "text_inf", "binary_nan"])
+def test_non_finite_embeddings_exit_2(tmp_path, corpus_file, capsys, case,
+                                     command):
+    bad = _poison_embeddings(tmp_path, corpus_file, case)
+    out = tmp_path / "out"
+    conll = tmp_path / "data.conll"
+    conll.write_text(CONLL)
+    argv = {
+        "probe": ["probe", str(bad), "--train", str(conll), "--dev",
+                  str(conll), "--test", str(conll), "--metrics-out", str(out)],
+        "postproc": ["postproc", str(bad), "--out", str(out)],
+        "export": ["export", str(bad), "--out", str(out), "--format", "text"],
+    }[command]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"{bad}: row 1 " in err and "non-finite" in err
+    assert not out.exists()
+    assert not Path(str(out) + ".manifest.json").exists()
+
+
 def test_count_manifest_records_digests(tmp_path, corpus_file):
     out = tmp_path / "freq.tsv"
     assert main(["count", str(corpus_file), "--out", str(out)]) == 0

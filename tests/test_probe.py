@@ -2,6 +2,7 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from bitcipher.cooc import EmbeddingMatrix, EmbeddingMeta
 from bitcipher.corpus import Vocabulary
@@ -233,6 +234,152 @@ def test_oov_and_case_fallback():
     model = train_probe(matrix, vocab, train, None, hp)
     metrics = evaluate_probe(model, matrix, vocab, train)
     assert 0.0 <= metrics.accuracy <= 100.0
+
+
+@pytest.mark.parametrize("slope", [0.0, 1.0, -0.01, float("nan")])
+def test_hyperparams_reject_leaky_slope_out_of_range(slope):
+    # The CLI has no flag for the slope; test_cli covers the other fields.
+    with pytest.raises(ValueError, match="leaky_slope"):
+        ProbeHyperparams(leaky_slope=slope)
+
+
+def test_hyperparams_accept_range_edges():
+    ProbeHyperparams(hidden=1, batch_size=1, epochs=1, patience=1,
+                     dropout=0.0, momentum=0.0, leaky_slope=0.999,
+                     learning_rate=1e-300)
+
+
+# ---------------------------------------------------------------------------
+# bit identity of the branch-free, in-place training step
+# ---------------------------------------------------------------------------
+
+# Quiet NaNs only: the hidden pre-activation is an arithmetic result, and
+# arithmetic never yields a signalling NaN (max would pass one through where
+# slope * z quiets it).
+_SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310,
+                   2.2250738585072014e-308, -2.2250738585072014e-308,
+                   1e308, -1e308, np.inf, -np.inf, np.nan, -np.nan]
+
+
+@given(values=st.lists(st.floats(allow_subnormal=True), max_size=40),
+       slope=st.floats(min_value=0.0, max_value=1.0, exclude_min=True,
+                       exclude_max=True))
+def test_branch_free_leaky_relu_is_bit_identical(values, slope):
+    with np.errstate(invalid="ignore"):
+        z = np.array(_SPECIAL_FLOATS + values, dtype=np.float64) * 1.0
+        active = np.maximum(z, slope * z)
+        assert (active.view(np.uint64).tolist()
+                == np.where(z > 0, z, slope * z).view(np.uint64).tolist())
+    assert np.array_equal(active > 0, z > 0)
+    assert (np.maximum(active > 0, slope).view(np.uint64).tolist()
+            == np.where(z > 0, 1.0, slope).view(np.uint64).tolist())
+
+
+def _reference_log_softmax(z):
+    shifted = z - z.max(axis=1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+
+
+def _reference_hidden(params, hp, x):
+    z1 = x @ params["w1"] + params["b1"]
+    return z1, np.where(z1 > 0, z1, hp.leaky_slope * z1)
+
+
+def _reference_loss_and_grads(params, hp, x, y, dropout_rng):
+    """The training step written with np.where and fresh arrays."""
+    z1, a1 = _reference_hidden(params, hp, x)
+    keep = 1.0 - hp.dropout
+    mask = None
+    if hp.dropout > 0.0:
+        mask = (dropout_rng.random(a1.shape) < keep) / keep
+        a1 = a1 * mask
+    logp = _reference_log_softmax(a1 @ params["w2"] + params["b2"])
+    batch = x.shape[0]
+    loss = -logp[np.arange(batch), y].mean()
+    dz2 = np.exp(logp)
+    dz2[np.arange(batch), y] -= 1.0
+    dz2 /= batch
+    grads = {"w2": a1.T @ dz2, "b2": dz2.sum(axis=0)}
+    da1 = dz2 @ params["w2"].T
+    if mask is not None:
+        da1 = da1 * mask
+    dz1 = da1 * np.where(z1 > 0, 1.0, hp.leaky_slope)
+    grads["w1"] = x.T @ dz1
+    grads["b1"] = dz1.sum(axis=0)
+    return loss, grads
+
+
+def _reference_train(x, y, x_dev, y_dev, n_labels, hp):
+    """train_probe's loop with the reference step and momentum update."""
+    rng = np.random.default_rng(hp.seed)
+    dim = x.shape[1]
+    params = {
+        "w1": rng.normal(0.0, np.sqrt(2.0 / dim), size=(dim, hp.hidden)),
+        "b1": np.zeros(hp.hidden),
+        "w2": rng.normal(0.0, np.sqrt(2.0 / hp.hidden),
+                         size=(hp.hidden, n_labels)),
+        "b2": np.zeros(n_labels),
+    }
+    velocity = {k: np.zeros_like(v) for k, v in params.items()}
+    best_acc, best, since, history = -1.0, None, 0, []
+    n = x.shape[0]
+    for _epoch in range(hp.epochs):
+        order = rng.permutation(n)
+        epoch_loss = 0.0
+        for start in range(0, n, hp.batch_size):
+            batch = order[start:start + hp.batch_size]
+            loss, grads = _reference_loss_and_grads(params, hp, x[batch],
+                                                    y[batch], rng)
+            epoch_loss += loss * len(batch)
+            for name, grad in grads.items():
+                velocity[name] = (hp.momentum * velocity[name]
+                                  - hp.learning_rate * grad)
+                params[name] += velocity[name]
+        history.append(epoch_loss / n)
+        if x_dev is None:
+            best = {k: v.copy() for k, v in params.items()}
+            continue
+        _, hidden = _reference_hidden(params, hp, x_dev)
+        logp = _reference_log_softmax(hidden @ params["w2"] + params["b2"])
+        acc = float((logp.argmax(axis=1) == y_dev).mean())
+        if acc > best_acc:
+            best_acc, best, since = acc, {k: v.copy() for k, v in params.items()}, 0
+        else:
+            since += 1
+            if since >= hp.patience:
+                break
+    return best, history
+
+
+@pytest.mark.parametrize("with_dev", [True, False])
+@pytest.mark.parametrize("dim", [8, 200])
+@pytest.mark.parametrize("dropout", [0.0, 0.3, 0.5])
+def test_training_matches_reference_bit_for_bit(dropout, dim, with_dev):
+    rng = np.random.default_rng(11)
+    n_types, labels = 60, ("A", "B", "C", "D")
+    tokens = [f"w{i}" for i in range(n_types)]
+    vocab = _vocab(tokens)
+    matrix = _embedding(n_types, dim, seed=dim)
+    tag = rng.integers(0, len(labels), size=n_types)
+
+    def split(size, name):
+        ids = rng.integers(0, n_types, size=size)
+        noisy = np.where(rng.random(size) < 0.2,
+                         rng.integers(0, len(labels), size=size), tag[ids])
+        pairs = [(tokens[i], labels[t]) for i, t in zip(ids, noisy)]
+        return (_dataset_from_pairs(pairs, labels, name),
+                matrix.rows[ids], noisy)
+
+    train, x, y = split(300, "train")  # 300 = 4 * 64 + 44: a ragged batch
+    dev, x_dev, y_dev = split(80, "dev") if with_dev else (None, None, None)
+    hp = ProbeHyperparams(hidden=32, dropout=dropout, batch_size=64,
+                          epochs=6, patience=2, seed=5)
+    model = train_probe(matrix, vocab, train, dev, hp)
+    expected, history = _reference_train(x, y, x_dev, y_dev, len(labels), hp)
+    for name, param in model.params.items():
+        assert param.tobytes() == expected[name].tobytes(), name
+    assert (np.array(model.train_loss).tobytes()
+            == np.array(history).tobytes())
 
 
 def test_summary_line_format():
