@@ -18,7 +18,6 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import bitcipher as bc
-from bitcipher.cooc import EmbeddingMatrix, EmbeddingMeta
 from bitcipher.synth import (generate_tagged_sentences, sentences_to_text,
                              split_types, type_split_datasets)
 
@@ -60,8 +59,8 @@ def main():
                                  config)
     if not args.no_postproc:
         embeddings, _ = bc.pipeline(embeddings)
-    print(f"embeddings: {embeddings.rows.shape[0]} rows x "
-          f"{embeddings.dim} dims ({args.mode}, r={args.radius}, "
+    print(f"embeddings: {embeddings.shape[0]} rows x "
+          f"{embeddings.shape[1]} dims ({args.mode}, r={args.radius}, "
           f"b={args.bits}, dtype={args.dtype})")
 
     _, holdout = split_types(seed=args.seed)
@@ -74,13 +73,11 @@ def main():
     hp = bc.ProbeHyperparams(hidden=args.hidden, epochs=args.epochs,
                              dropout=0.3, seed=args.seed)
     results = {}
-    for name, matrix in (("cipher", embeddings),
-                         ("random", EmbeddingMatrix(
-                             np.random.default_rng(args.seed + 1).normal(
-                                 size=embeddings.rows.shape),
-                             EmbeddingMeta(bits=embeddings.dim)))):
-        model = bc.train_probe(matrix, vocab, train, dev, hp)
-        metrics = bc.evaluate_probe(model, matrix, vocab, test)
+    random_rows = np.random.default_rng(args.seed + 1).normal(
+        size=embeddings.shape)
+    for name, rows in (("cipher", embeddings), ("random", random_rows)):
+        model = bc.train_probe(rows, vocab, train, dev, hp)
+        metrics = bc.evaluate_probe(model, rows, vocab, test)
         results[name] = metrics
         print(f"{name:>7}: {metrics.summary_line()}")
 

@@ -9,12 +9,12 @@ probed with a small tagging classifier.
 
 __version__ = "0.1.0"
 
-from .cipher import (CapacityError, CipherPair, NoiseModel, NoisyEmbedding,
-                     build_cipher, build_noise_model, cipher_capacity,
-                     compute_beta, compute_sigma, dump_cipher_text,
-                     load_cipher, noisy_vectors, save_cipher)
-from .cooc import (ContextConfig, CoocCounts, EmbeddingMatrix, EmbeddingMeta,
-                   accumulate_cooccurrence, aggregate, embed_corpus)
+from .cipher import (CapacityError, CipherPair, NoiseModel, build_cipher,
+                     build_noise_model, cipher_capacity, compute_beta,
+                     compute_sigma, dump_cipher_text, load_cipher,
+                     noisy_vectors, save_cipher)
+from .cooc import (ContextConfig, CoocCounts, accumulate_cooccurrence,
+                   aggregate, embed_corpus)
 from .corpus import (EncodingError, FrequencyTable, TokenizerConfig,
                      Vocabulary, build_vocabulary, count_corpus,
                      count_frequencies, merge_frequency_tables,
@@ -33,12 +33,11 @@ from .probe import (LabeledTokenDataset, ProbeHyperparams, ProbeMetrics,
 
 __all__ = [
     "__version__",
-    "CapacityError", "CipherPair", "NoiseModel", "NoisyEmbedding",
-    "build_cipher", "build_noise_model", "cipher_capacity", "compute_beta",
-    "compute_sigma", "dump_cipher_text", "load_cipher", "noisy_vectors",
-    "save_cipher",
-    "ContextConfig", "CoocCounts", "EmbeddingMatrix", "EmbeddingMeta",
-    "accumulate_cooccurrence", "aggregate", "embed_corpus",
+    "CapacityError", "CipherPair", "NoiseModel", "build_cipher",
+    "build_noise_model", "cipher_capacity", "compute_beta", "compute_sigma",
+    "dump_cipher_text", "load_cipher", "noisy_vectors", "save_cipher",
+    "ContextConfig", "CoocCounts", "accumulate_cooccurrence", "aggregate",
+    "embed_corpus",
     "EncodingError", "FrequencyTable", "TokenizerConfig", "Vocabulary",
     "build_vocabulary", "count_corpus", "count_frequencies",
     "merge_frequency_tables", "rank_tokens", "read_frequency_table",

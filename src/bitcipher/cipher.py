@@ -122,39 +122,15 @@ def build_cipher(n_vectors: int, bits: int) -> CipherPair:
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Per-token fidelity and the alternative-token noise distribution.
+    """Per-token fidelity and the noise centroid in cipher space.
 
     ``beta[i]`` is the fraction of token i's observations trusted as
-    non-erroneous. ``sigma_vocab`` distributes the remaining mass over
-    alternative vocabulary tokens (L1 norm 1); ``sigma_cipher`` is its
-    projection into cipher space, the sigma-weighted average of plain rows,
-    and is also L1-unit by convexity.
+    non-erroneous. ``sigma_cipher`` is the sigma-weighted average of plain
+    rows (see ``compute_sigma``), L1-unit by convexity.
     """
 
     beta: np.ndarray
-    sigma_vocab: np.ndarray
     sigma_cipher: np.ndarray
-    mode: str
-
-
-@dataclass(frozen=True)
-class NoisyEmbedding:
-    """Dense probabilistic token vectors, one row per rank plus an OOV row.
-
-    Every row is a convex combination of L1-unit vectors, so each row sums
-    to 1 with entries in [0, 1]. The last row, used for out-of-vocabulary
-    tokens, is the pure noise centroid.
-    """
-
-    rows: np.ndarray
-
-    @property
-    def bits(self) -> int:
-        return self.rows.shape[1]
-
-    @property
-    def oov_row(self) -> np.ndarray:
-        return self.rows[-1]
 
 
 def _vocab_frequencies(table: FrequencyTable, vocab: Vocabulary,
@@ -204,12 +180,17 @@ def compute_sigma(table: FrequencyTable, vocab: Vocabulary,
 def build_noise_model(table: FrequencyTable, vocab: Vocabulary,
                       pair: CipherPair, mode: str = "unigram") -> NoiseModel:
     beta = compute_beta(table, vocab, mode)
-    sigma_vocab, sigma_cipher = compute_sigma(table, vocab, pair.plain_rows)
-    return NoiseModel(beta, sigma_vocab, sigma_cipher, mode)
+    _, sigma_cipher = compute_sigma(table, vocab, pair.plain_rows)
+    return NoiseModel(beta, sigma_cipher)
 
 
-def noisy_vectors(pair: CipherPair, noise: NoiseModel) -> NoisyEmbedding:
-    """Blend plain rows with the noise centroid: beta*v + (1-beta)*sigma."""
+def noisy_vectors(pair: CipherPair, noise: NoiseModel) -> np.ndarray:
+    """Blend plain rows with the noise centroid: beta*v + (1-beta)*sigma.
+
+    Returns the (N+1) x b token vectors: every row is a convex combination
+    of L1-unit vectors, so it sums to 1 with entries in [0, 1]. The last
+    row, used for out-of-vocabulary tokens, is the pure noise centroid.
+    """
     if noise.beta.shape[0] != pair.size:
         raise ValueError(f"beta has {noise.beta.shape[0]} entries for "
                          f"{pair.size} cipher rows")
@@ -218,8 +199,7 @@ def noisy_vectors(pair: CipherPair, noise: NoiseModel) -> NoisyEmbedding:
                          f"entries for {pair.bits} bits")
     beta = noise.beta[:, None]
     body = beta * pair.plain_rows + (1.0 - beta) * noise.sigma_cipher
-    rows = np.vstack([body, noise.sigma_cipher[None, :]])
-    return NoisyEmbedding(rows)
+    return np.vstack([body, noise.sigma_cipher[None, :]])
 
 
 def save_cipher(pair: CipherPair, path, mode: str = "") -> None:

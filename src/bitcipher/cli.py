@@ -8,11 +8,10 @@ import traceback
 from dataclasses import asdict
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .cipher import build_cipher, build_noise_model, save_cipher
-from .cooc import ContextConfig, EmbeddingMatrix, EmbeddingMeta, embed_corpus
+from .cipher import (build_cipher, build_noise_model, cipher_capacity,
+                     save_cipher)
+from .cooc import ContextConfig, embed_corpus
 from .corpus import (TokenizerConfig, build_vocabulary, count_corpus,
                      read_frequency_table, stream_documents,
                      write_frequency_table)
@@ -80,9 +79,12 @@ def cmd_embed(args) -> int:
     table = read_frequency_table(args.freq)
     vocab = build_vocabulary(table, args.bits, max_vocab=args.max_vocab)
     if vocab.size < len(table.counts):
+        limit = (f"capacity 2^{args.bits} - 1"
+                 if vocab.size == cipher_capacity(args.bits)
+                 else f"--max-vocab {args.max_vocab}")
         print(f"warning: vocabulary truncated to {vocab.size} of "
-              f"{len(table.counts)} distinct tokens "
-              f"(capacity 2^{args.bits} - 1)", file=sys.stderr)
+              f"{len(table.counts)} distinct tokens ({limit})",
+              file=sys.stderr)
     pair = build_cipher(vocab.size, args.bits)
     noise = build_noise_model(table, vocab, pair, mode=args.dtype)
     context = ContextConfig(radius=args.radius, mode=args.mode,
@@ -99,8 +101,7 @@ def cmd_embed(args) -> int:
             tokens += len(document)
             yield document
 
-    matrix = embed_corpus(documents(), vocab, pair, noise, context,
-                          corpus_digest=manifest.inputs["corpus"]["sha256"])
+    rows = embed_corpus(documents(), vocab, pair, noise, context)
     if tokens != table.total_tokens:
         raise ValueError(f"{args.corpus} holds {tokens} tokens but "
                          f"{args.freq} was counted over "
@@ -108,7 +109,7 @@ def cmd_embed(args) -> int:
                          f"belongs to another corpus or tokenizer")
     report = None
     if args.postproc:
-        matrix, report = pipeline(matrix, epsilon=args.epsilon)
+        rows, report = pipeline(rows, epsilon=args.epsilon)
 
     manifest.config = {
         "bits": args.bits,
@@ -122,9 +123,20 @@ def cmd_embed(args) -> int:
         "epsilon": args.epsilon if args.postproc else None,
         "format": args.format,
         "tokenizer": asdict(config),
-        "meta": asdict(matrix.meta),
+        # provenance of the rows; it repeats the flags above, but it is
+        # part of the manifest format
+        "meta": {
+            "bits": args.bits,
+            "radius": args.radius,
+            "mode": args.mode,
+            "log_weighting": args.log,
+            "include_center": args.include_center,
+            "noise_mode": args.dtype,
+            "corpus_digest": manifest.inputs["corpus"]["sha256"],
+            "postproc": ["whiten", "center+l2"] if args.postproc else [],
+        },
     }
-    _write_embeddings(matrix.rows, row_tokens(vocab), args.out, args.format)
+    _write_embeddings(rows, row_tokens(vocab), args.out, args.format)
     manifest.record_output("embeddings", args.out)
     if args.save_cipher:
         save_cipher(pair, args.save_cipher, mode=args.dtype)
@@ -134,18 +146,16 @@ def cmd_embed(args) -> int:
         write_json(asdict(report), report_file)
         manifest.record_output("postproc_report", report_file)
     write_manifest(manifest, manifest_path(args.out))
-    print(f"embedded {vocab.size}+oov rows at dimension {matrix.dim} "
+    print(f"embedded {vocab.size}+oov rows at dimension {rows.shape[1]} "
           f"-> {args.out}")
     return EXIT_OK
 
 
 def cmd_postproc(args) -> int:
     rows, tokens = read_embeddings(args.embeddings)
-    matrix = EmbeddingMatrix(np.asarray(rows, dtype=np.float64),
-                             EmbeddingMeta(bits=rows.shape[1]))
-    refined, report = pipeline(matrix, epsilon=args.epsilon,
+    refined, report = pipeline(rows, epsilon=args.epsilon,
                                row_mean=args.row_mean)
-    _write_embeddings(refined.rows, tokens, args.out, args.format)
+    _write_embeddings(refined, tokens, args.out, args.format)
     report_file = Path(str(args.out) + ".report.json")
     write_json(asdict(report), report_file)
     manifest = _new_manifest("postproc", {
@@ -165,8 +175,6 @@ def cmd_postproc(args) -> int:
 def cmd_probe(args) -> int:
     rows, tokens = read_embeddings(args.embeddings)
     vocab = vocabulary_from_tokens(tokens)
-    matrix = EmbeddingMatrix(np.asarray(rows, dtype=np.float64),
-                             EmbeddingMeta(bits=rows.shape[1]))
     train = load_conll(args.train, args.token_column, args.label_column, "train")
     dev = load_conll(args.dev, args.token_column, args.label_column, "dev")
     test = load_conll(args.test, args.token_column, args.label_column, "test")
@@ -174,8 +182,8 @@ def cmd_probe(args) -> int:
                           learning_rate=args.lr, momentum=args.momentum,
                           batch_size=args.batch_size, epochs=args.epochs,
                           patience=args.patience, seed=args.seed)
-    model = train_probe(matrix, vocab, train, dev, hp)
-    metrics = evaluate_probe(model, matrix, vocab, test)
+    model = train_probe(rows, vocab, train, dev, hp)
+    metrics = evaluate_probe(model, rows, vocab, test)
     print(metrics.summary_line())
     payload = metrics.to_dict()
     payload["hyperparams"] = asdict(hp)
@@ -236,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="noise fidelity mode (default: %(default)s)")
     embed.add_argument("--include-center", action="store_true",
                        help="add each token's own vector to its sum row")
-    embed.add_argument("--max-vocab", type=int, default=None,
+    embed.add_argument("--max-vocab", type=_positive_int, default=None,
                        help="optional vocabulary cap")
     embed.add_argument("--postproc", action="store_true",
                        help="whiten + center + L2-normalize the output")

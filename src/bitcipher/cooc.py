@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import repeat
 from typing import Iterable
 
 import numpy as np
 
-from .cipher import CipherPair, NoiseModel, NoisyEmbedding, noisy_vectors
+from .cipher import CipherPair, NoiseModel, noisy_vectors
 from .corpus import Vocabulary
 
 
@@ -60,32 +60,6 @@ class CoocCounts:
     n_rows: int
     keys: np.ndarray
     counts: np.ndarray
-
-
-@dataclass(frozen=True)
-class EmbeddingMeta:
-    """Provenance carried alongside an embedding matrix."""
-
-    bits: int
-    radius: int | None = None
-    mode: str = "cipher"
-    log_weighting: bool = False
-    include_center: bool = False
-    noise_mode: str | None = None
-    corpus_digest: str | None = None
-    postproc: tuple[str, ...] = ()
-
-
-@dataclass
-class EmbeddingMatrix:
-    """Dense (N+1) x d matrix; the last row is the OOV embedding."""
-
-    rows: np.ndarray
-    meta: EmbeddingMeta
-
-    @property
-    def dim(self) -> int:
-        return self.rows.shape[1]
 
 
 def _row_ids(documents: Iterable[list[str]],
@@ -142,16 +116,18 @@ def accumulate_cooccurrence(documents: Iterable[list[str]], vocab: Vocabulary,
     return CoocCounts(config.mode, config.radius, n, keys, counts)
 
 
-def aggregate(counts: CoocCounts, noisy: NoisyEmbedding,
-              config: ContextConfig) -> EmbeddingMatrix:
-    """Blend noisy token vectors into per-center context rows."""
+def aggregate(counts: CoocCounts, nu: np.ndarray,
+              config: ContextConfig) -> np.ndarray:
+    """Blend the noisy token vectors ``nu`` into per-center context rows.
+
+    Returns the (N+1) x d rows, d = ``config.output_dim(bits)``, OOV last.
+    """
     if counts.mode != config.mode or counts.radius != config.radius:
         raise ValueError("counts were accumulated under a different context config")
-    n_rows, bits = noisy.rows.shape
+    n_rows, bits = nu.shape
     if counts.n_rows != n_rows:
         raise ValueError(f"counts cover {counts.n_rows} rows but noisy "
                          f"embedding has {n_rows}")
-    nu = noisy.rows
     slots = 1 if config.mode == "sum" else 2 * config.radius
     out = np.zeros((n_rows, slots, bits))
     weights = counts.counts.astype(np.float64)
@@ -172,23 +148,17 @@ def aggregate(counts: CoocCounts, noisy: NoisyEmbedding,
     if config.include_center and config.mode == "sum":
         centers = np.unique(counts.keys // n_rows)
         out[centers, 0] += nu[centers]
-    meta = EmbeddingMeta(bits=bits, radius=config.radius, mode=config.mode,
-                         log_weighting=config.log_weighting,
-                         include_center=config.include_center)
-    return EmbeddingMatrix(out.reshape(n_rows, slots * bits), meta)
+    return out.reshape(n_rows, slots * bits)
 
 
 def embed_corpus(documents: Iterable[list[str]], vocab: Vocabulary,
-                 pair: CipherPair, noise: NoiseModel, config: ContextConfig,
-                 corpus_digest: str | None = None) -> EmbeddingMatrix:
+                 pair: CipherPair, noise: NoiseModel,
+                 config: ContextConfig) -> np.ndarray:
     """Count and aggregate in one pass over the documents.
 
     Equivalent (to float tolerance) to accumulate_cooccurrence followed by
     aggregate with the same inputs.
     """
-    noisy = noisy_vectors(pair, noise)
+    nu = noisy_vectors(pair, noise)
     counts = accumulate_cooccurrence(documents, vocab, config)
-    matrix = aggregate(counts, noisy, config)
-    matrix.meta = replace(matrix.meta, noise_mode=noise.mode,
-                          corpus_digest=corpus_digest)
-    return matrix
+    return aggregate(counts, nu, config)

@@ -248,6 +248,8 @@ def build_vocabulary(table: FrequencyTable, bits: int,
     capacity = (1 << bits) - 1
     size = min(len(table.counts), capacity)
     if max_vocab is not None:
+        if max_vocab < 1:
+            raise ValueError(f"max_vocab must be >= 1, got {max_vocab}")
         size = min(size, max_vocab)
     if size == 0:
         raise ValueError("empty vocabulary: no tokens fit the requested capacity")
@@ -267,11 +269,11 @@ def write_frequency_table(table: FrequencyTable, path: str | Path) -> None:
 def read_frequency_table(path: str | Path) -> FrequencyTable:
     with open(path, "r", encoding="utf-8") as src:
         header = src.readline().rstrip("\n")
-        if not header.startswith("#M="):
-            raise ValueError(f"{path}: missing #M=... D=... header")
-        m_part, d_part = header[1:].split()
-        total_tokens = int(m_part.removeprefix("M="))
-        total_documents = int(d_part.removeprefix("D="))
+        totals = re.fullmatch(r"#M=(\d+)\s+D=(\d+)\s*", header)
+        if totals is None:
+            raise ValueError(f"{path}:1: malformed header {header!r}, "
+                             "expected '#M=<tokens> D=<documents>'")
+        total_tokens, total_documents = map(int, totals.groups())
         counts: dict[str, tuple[int, int]] = {}
         for lineno, line in enumerate(src, start=2):
             line = line.rstrip("\n")
@@ -279,7 +281,11 @@ def read_frequency_table(path: str | Path) -> FrequencyTable:
                 continue
             try:
                 token, f, d = line.split("\t")
-                counts[token] = (int(f), int(d))
+                row = (int(f), int(d))
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: malformed row {line!r}") from exc
+            if token in counts:
+                raise ValueError(f"{path}:{lineno}: token {token!r} repeats "
+                                 "an earlier row")
+            counts[token] = row
     return FrequencyTable(counts, total_tokens, total_documents)

@@ -108,19 +108,31 @@ def write_embeddings_text(rows: np.ndarray, tokens: Sequence[str],
 
 def read_embeddings_text(path: str | Path) -> tuple[np.ndarray, list[str]]:
     with open(path, "r", encoding="utf-8") as src:
-        header = src.readline().split()
-        if len(header) != 2:
-            raise ValueError(f"{path}: malformed header")
-        n, dim = int(header[0]), int(header[1])
+        header = src.readline()
+        fields = header.split()
+        if len(fields) != 2 or not all(f.isdecimal() for f in fields):
+            raise ValueError(f"{path}: malformed header {header.strip()!r}, "
+                             "expected '<rows> <dim>'")
+        n, dim = int(fields[0]), int(fields[1])
         rows = np.empty((n, dim), dtype=np.float64)
         tokens: list[str] = []
         for i in range(n):
-            parts = src.readline().split()
+            line = src.readline()
+            if not line:
+                raise ValueError(f"{path}: ends before row {i} of the {n} "
+                                 "rows its header declares")
+            parts = line.split()
             if len(parts) != dim + 1:
                 raise ValueError(f"{path}: row {i} has {len(parts) - 1} values, "
                                  f"expected {dim}")
             tokens.append(unescape_token(parts[0]))
-            rows[i] = [float(v) for v in parts[1:]]
+            try:
+                rows[i] = [float(v) for v in parts[1:]]
+            except ValueError as exc:
+                raise ValueError(f"{path}: row {i}: {exc}") from None
+        if src.read(1):
+            raise ValueError(f"{path}: text after row {n - 1}: the header "
+                             f"declares {n} rows")
     return rows, tokens
 
 

@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
-
-from .cooc import EmbeddingMatrix
 
 # Eigenvalues at or below this are treated as zero-variance directions; they
 # cannot be rescaled to unit variance and get the epsilon-regularized scale.
@@ -39,8 +38,8 @@ def _condition(eigenvalues: np.ndarray) -> float:
     return np.inf if bottom <= 0 else top / bottom
 
 
-def whiten(matrix: EmbeddingMatrix, epsilon: float = DEFAULT_EPSILON,
-           report: PostprocReport | None = None) -> EmbeddingMatrix:
+def whiten(rows: np.ndarray, epsilon: float = DEFAULT_EPSILON,
+           report: PostprocReport | None = None) -> np.ndarray:
     """Decorrelate columns so the feature covariance is the identity.
 
     Uses the symmetric inverse square root of the covariance, which rotates
@@ -48,7 +47,9 @@ def whiten(matrix: EmbeddingMatrix, epsilon: float = DEFAULT_EPSILON,
     below RANK_CUTOFF are rescaled with an epsilon-regularized denominator
     instead of being blown up, and counted in the report.
     """
-    rows = np.asarray(matrix.rows, dtype=np.float64)
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ValueError(f"epsilon must be finite and > 0, got {epsilon}")
+    rows = np.asarray(rows, dtype=np.float64)
     n, dim = rows.shape
     if n < dim + 1:
         raise ValueError(f"whitening needs at least {dim + 1} rows, got {n}")
@@ -74,20 +75,19 @@ def whiten(matrix: EmbeddingMatrix, epsilon: float = DEFAULT_EPSILON,
     post_eig = np.clip(np.linalg.eigvalsh(_covariance(out)), 0.0, None)
     report.post_covariance_condition = _condition(post_eig)
     report.steps.append("whiten")
-    meta = replace(matrix.meta, postproc=matrix.meta.postproc + ("whiten",))
-    return EmbeddingMatrix(out, meta)
+    return out
 
 
-def center_and_normalize(matrix: EmbeddingMatrix,
+def center_and_normalize(rows: np.ndarray,
                          report: PostprocReport | None = None,
-                         row_mean: bool = False) -> EmbeddingMatrix:
+                         row_mean: bool = False) -> np.ndarray:
     """Subtract the column mean, then scale each row to unit L2 norm.
 
     ``row_mean`` switches to subtracting each row's own mean instead (kept
     for comparison; the column variant is the default). Rows that are zero
     after centering are left zero and counted in the report.
     """
-    rows = np.asarray(matrix.rows, dtype=np.float64)
+    rows = np.asarray(rows, dtype=np.float64)
     if not np.isfinite(rows).all():
         raise ValueError("normalization requires finite entries")
     report = report if report is not None else PostprocReport()
@@ -97,21 +97,18 @@ def center_and_normalize(matrix: EmbeddingMatrix,
         centered = rows - rows.mean(axis=0)
     norms = np.linalg.norm(centered, axis=1)
     zero = norms == 0.0
-    out = centered.copy()
-    out[~zero] /= norms[~zero, None]
+    centered[~zero] /= norms[~zero, None]
     report.zero_rows = int(zero.sum())
     report.rows_normalized = int((~zero).sum())
     report.steps.append("center_row_mean" if row_mean else "center")
     report.steps.append("l2_normalize")
-    tag = "center_row_mean+l2" if row_mean else "center+l2"
-    meta = replace(matrix.meta, postproc=matrix.meta.postproc + (tag,))
-    return EmbeddingMatrix(out, meta)
+    return centered
 
 
-def pipeline(matrix: EmbeddingMatrix, epsilon: float = DEFAULT_EPSILON,
-             row_mean: bool = False) -> tuple[EmbeddingMatrix, PostprocReport]:
+def pipeline(rows: np.ndarray, epsilon: float = DEFAULT_EPSILON,
+             row_mean: bool = False) -> tuple[np.ndarray, PostprocReport]:
     """Whiten, then center and L2-normalize; shape is always preserved."""
     report = PostprocReport()
-    whitened = whiten(matrix, epsilon=epsilon, report=report)
+    whitened = whiten(rows, epsilon=epsilon, report=report)
     refined = center_and_normalize(whitened, report=report, row_mean=row_mean)
     return refined, report

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cooc import EmbeddingMatrix
 from .corpus import Vocabulary
 
 
@@ -238,12 +237,12 @@ class ProbeMetrics:
         }
 
 
-def _featurize(matrix: EmbeddingMatrix, vocab: Vocabulary,
+def _featurize(rows: np.ndarray, vocab: Vocabulary,
                tokens: list[str]) -> np.ndarray:
     index = vocab.index
     oov = vocab.oov_index
-    rows = [index.get(t, index.get(t.lower(), oov)) for t in tokens]
-    return np.asarray(matrix.rows, dtype=np.float64)[rows]
+    idx = [index.get(t, index.get(t.lower(), oov)) for t in tokens]
+    return np.asarray(rows[idx], dtype=np.float64)
 
 
 def _label_ids(labels: list[str], label_set: tuple[str, ...],
@@ -258,7 +257,7 @@ def _label_ids(labels: list[str], label_set: tuple[str, ...],
     return ids
 
 
-def train_probe(matrix: EmbeddingMatrix, vocab: Vocabulary,
+def train_probe(rows: np.ndarray, vocab: Vocabulary,
                 train: LabeledTokenDataset, dev: LabeledTokenDataset | None,
                 hp: ProbeHyperparams = ProbeHyperparams()) -> ProbeModel:
     """Fit the probe on frozen features, keeping the best-dev checkpoint.
@@ -270,13 +269,13 @@ def train_probe(matrix: EmbeddingMatrix, vocab: Vocabulary,
     tokens, labels = train.tokens_and_labels()
     if not tokens:
         raise ValueError("training split is empty")
-    x_train = _featurize(matrix, vocab, tokens)
+    x_train = _featurize(rows, vocab, tokens)
     y_train = _label_ids(labels, train.label_set, "train")
 
     x_dev = y_dev = None
     if dev is not None and len(dev) > 0:
         dev_tokens, dev_labels = dev.tokens_and_labels()
-        x_dev = _featurize(matrix, vocab, dev_tokens)
+        x_dev = _featurize(rows, vocab, dev_tokens)
         y_dev = _label_ids(dev_labels, train.label_set, dev.split or "dev")
 
     rng = np.random.default_rng(hp.seed)
@@ -339,12 +338,12 @@ def _per_label_scores(y_true: np.ndarray, y_pred: np.ndarray,
     return np.stack([precision, recall, f1], axis=1)
 
 
-def evaluate_probe(model: ProbeModel, matrix: EmbeddingMatrix,
+def evaluate_probe(model: ProbeModel, rows: np.ndarray,
                    vocab: Vocabulary,
                    test: LabeledTokenDataset) -> ProbeMetrics:
     """Token-level accuracy and macro-F1 (percent), dropout disabled."""
     tokens, labels = test.tokens_and_labels()
-    x = _featurize(matrix, vocab, tokens)
+    x = _featurize(rows, vocab, tokens)
     y = _label_ids(labels, model.label_set, test.split or "test")
     pred = model.predict(x)
     accuracy = 100.0 * float((pred == y).mean())

@@ -13,7 +13,6 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import bitcipher as bc
-from bitcipher.cooc import EmbeddingMatrix, EmbeddingMeta
 from bitcipher.corpus import FrequencyTable, Vocabulary
 from bitcipher.probe import ProbeHyperparams, ProbeMetrics, ProbeModel
 from bitcipher.synth import (generate_tagged_sentences, sentences_to_text,
@@ -123,8 +122,8 @@ def test_criterion_3_noise_invariants(n, seed):
     mode = "df" if seed % 2 else "unigram"
     noise = bc.build_noise_model(table, vocab, pair, mode)
     nu = bc.noisy_vectors(pair, noise)
-    assert np.all(np.abs(nu.rows.sum(axis=1) - 1.0) < 1e-12)
-    assert np.all(nu.rows >= 0.0) and np.all(nu.rows <= 1.0)
+    assert np.all(np.abs(nu.sum(axis=1) - 1.0) < 1e-12)
+    assert np.all(nu >= 0.0) and np.all(nu <= 1.0)
     _Criterion3Timer.cases += 1
 
 
@@ -152,7 +151,7 @@ def test_criterion_4_dimension_law():
         config = bc.ContextConfig(radius=4, mode="cat")
         out = bc.embed_corpus(bc.stream_documents(text), vocab, pair, noise,
                               config)
-        assert out.dim == dim == 2 * 4 * bits
+        assert out.shape[1] == dim == 2 * 4 * bits
         assert config.output_dim(bits) == dim
     print("PASS criterion 4: cat dimension equals 2*r*b on the r=4 grid "
           "(25->200, 50->400, 100->800, 200->1600)")
@@ -206,8 +205,8 @@ def test_criterion_5_cooccurrence_oracle_equivalence():
                                   log_weighting=log_weighting)
         fused = bc.embed_corpus(bc.stream_documents(text), vocab, pair, noise,
                                 config)
-        expected = _brute_force_embedding(docs, vocab, nu.rows, config)
-        assert np.all(np.abs(fused.rows - expected) < 1e-9)
+        expected = _brute_force_embedding(docs, vocab, nu, config)
+        assert np.all(np.abs(fused - expected) < 1e-9)
 
     # cat slots fold back to the sum rows (linear weighting)
     config_cat = bc.ContextConfig(radius=4, mode="cat")
@@ -217,10 +216,10 @@ def test_criterion_5_cooccurrence_oracle_equivalence():
     summed = bc.embed_corpus(bc.stream_documents(text), vocab, pair, noise,
                              config_sum)
     bits = pair.bits
-    folded = sum(cat.rows[:, s * bits:(s + 1) * bits] for s in range(8))
-    scale = np.maximum(np.abs(summed.rows), 1e-30)
-    mask = summed.rows != 0
-    assert np.all(np.abs(folded - summed.rows)[mask] / scale[mask] < 1e-6)
+    folded = sum(cat[:, s * bits:(s + 1) * bits] for s in range(8))
+    scale = np.maximum(np.abs(summed), 1e-30)
+    mask = summed != 0
+    assert np.all(np.abs(folded - summed)[mask] / scale[mask] < 1e-6)
     assert np.all(folded[~mask] == 0)
     elapsed = time.monotonic() - start
     assert elapsed < 60.0
@@ -237,13 +236,12 @@ def test_criterion_6_whitening():
     start = time.monotonic()
     rng = np.random.default_rng(66)
     raw = rng.normal(size=(1000, 50)) @ rng.normal(size=(50, 50))
-    matrix = EmbeddingMatrix(raw, EmbeddingMeta(bits=50))
-    white = bc.whiten(matrix)
-    centered = white.rows - white.rows.mean(axis=0)
-    cov = centered.T @ centered / (white.rows.shape[0] - 1)
+    white = bc.whiten(raw)
+    centered = white - white.mean(axis=0)
+    cov = centered.T @ centered / (white.shape[0] - 1)
     assert np.all(np.abs(cov - np.eye(50)) < 1e-6)
-    refined, _ = bc.pipeline(matrix)
-    norms = np.linalg.norm(refined.rows, axis=1)
+    refined, _ = bc.pipeline(raw)
+    norms = np.linalg.norm(refined, axis=1)
     assert np.all(np.abs(norms - 1.0) < 1e-9)
     elapsed = time.monotonic() - start
     assert elapsed < 10.0
@@ -297,7 +295,6 @@ def test_criterion_8_probe_sanity():
     rows[:, 0] = np.where(np.arange(n_types + 1) % 2 == 0, 1.2, -1.2)
     tokens = tuple(f"tok{i}" for i in range(n_types))
     vocab = Vocabulary(tokens, {t: i for i, t in enumerate(tokens)})
-    matrix = EmbeddingMatrix(rows, EmbeddingMeta(bits=dim))
     labels = ["EVEN" if i % 2 == 0 else "ODD" for i in range(n_types)]
     occurrences = [rng.integers(0, n_types) for _ in range(2000)]
     from bitcipher.probe import LabeledTokenDataset
@@ -307,8 +304,8 @@ def test_criterion_8_probe_sanity():
     test = LabeledTokenDataset(pairs[1700:], ("EVEN", "ODD"), "test")
     hp = ProbeHyperparams(hidden=32, epochs=200, batch_size=64, dropout=0.2,
                           seed=0)
-    model = bc.train_probe(matrix, vocab, train, dev, hp)
-    separable_acc = bc.evaluate_probe(model, matrix, vocab, test).accuracy
+    model = bc.train_probe(rows, vocab, train, dev, hp)
+    separable_acc = bc.evaluate_probe(model, rows, vocab, test).accuracy
     assert separable_acc >= 95.0
 
     # (b) 100k-token text slice: sum-mode cipher embeddings vs a random
@@ -336,10 +333,7 @@ def test_criterion_8_probe_sanity():
     cipher_acc = bc.evaluate_probe(cipher_model, embeddings, corpus_vocab,
                                    tag_test).accuracy
 
-    baseline_rows = np.random.default_rng(1).normal(
-        size=embeddings.rows.shape)
-    baseline = EmbeddingMatrix(baseline_rows,
-                               EmbeddingMeta(bits=baseline_rows.shape[1]))
+    baseline = np.random.default_rng(1).normal(size=embeddings.shape)
     baseline_model = bc.train_probe(baseline, corpus_vocab, tag_train,
                                     tag_dev, tag_hp)
     baseline_acc = bc.evaluate_probe(baseline_model, baseline, corpus_vocab,

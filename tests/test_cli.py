@@ -293,26 +293,121 @@ def _poison_embeddings(tmp_path, corpus_file, case):
     return bad
 
 
+def _reading_command(command, embeddings, out, tmp_path):
+    """argv of a command that reads ``embeddings`` and writes ``out``."""
+    conll = tmp_path / "data.conll"
+    conll.write_text(CONLL)
+    return {
+        "probe": ["probe", str(embeddings), "--train", str(conll), "--dev",
+                  str(conll), "--test", str(conll), "--metrics-out", str(out)],
+        "postproc": ["postproc", str(embeddings), "--out", str(out)],
+        "export": ["export", str(embeddings), "--out", str(out),
+                   "--format", "text"],
+    }[command]
+
+
 @pytest.mark.parametrize("command", ["probe", "postproc", "export"])
 @pytest.mark.parametrize("case", ["text_nan", "text_inf", "binary_nan"])
 def test_non_finite_embeddings_exit_2(tmp_path, corpus_file, capsys, case,
                                      command):
     bad = _poison_embeddings(tmp_path, corpus_file, case)
     out = tmp_path / "out"
-    conll = tmp_path / "data.conll"
-    conll.write_text(CONLL)
-    argv = {
-        "probe": ["probe", str(bad), "--train", str(conll), "--dev",
-                  str(conll), "--test", str(conll), "--metrics-out", str(out)],
-        "postproc": ["postproc", str(bad), "--out", str(out)],
-        "export": ["export", str(bad), "--out", str(out), "--format", "text"],
-    }[command]
+    argv = _reading_command(command, bad, out, tmp_path)
     capsys.readouterr()
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert f"{bad}: row 1 " in err and "non-finite" in err
     assert not out.exists()
     assert not Path(str(out) + ".manifest.json").exists()
+
+
+@pytest.mark.parametrize("command", ["probe", "postproc", "export"])
+@pytest.mark.parametrize("case,message", [
+    ("extra_row", "text after row 15: the header declares 16 rows"),
+    ("non_integer_header", "malformed header 'x 5'"),
+    ("negative_header", "malformed header '-16 5'"),
+    ("short_header", "malformed header '16'"),
+    ("long_header", "malformed header '16 5 1'"),
+    ("non_numeric", "row 1: could not convert string to float: 'zz'"),
+    ("cut_short", "ends before row 13 of the 16 rows"),
+])
+def test_malformed_text_embeddings_exit_2(tmp_path, corpus_file, capsys,
+                                          command, case, message):
+    code, emb = _run_embed(tmp_path, corpus_file, "emb.txt",
+                           "--bits", "5", "--radius", "2", "--mode", "sum")
+    assert code == 0
+    lines = emb.read_text().splitlines()
+    assert lines[0] == "16 5"
+    if case == "extra_row":
+        lines.append("extra 0 0 0 0 0")
+    elif case == "non_integer_header":
+        lines[0] = "x 5"
+    elif case == "negative_header":
+        lines[0] = "-16 5"
+    elif case == "short_header":
+        lines[0] = "16"
+    elif case == "long_header":
+        lines[0] = "16 5 1"
+    elif case == "non_numeric":
+        parts = lines[2].split()
+        parts[3] = "zz"  # row 1, column 2
+        lines[2] = " ".join(parts)
+    else:
+        lines = lines[:-3]
+    bad = tmp_path / "bad.txt"
+    bad.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(_reading_command(command, bad, out, tmp_path)) == 2
+    assert f"{bad}: {message}" in capsys.readouterr().err
+    assert not out.exists()
+    assert not Path(str(out) + ".manifest.json").exists()
+
+
+@pytest.mark.parametrize("epsilon", ["nan", "inf", "0", "-1"])
+def test_epsilon_must_be_finite_and_positive(tmp_path, corpus_file, capsys,
+                                             epsilon):
+    flags = ("--bits", "4", "--radius", "2", "--mode", "sum")
+    capsys.readouterr()
+    code, emb = _run_embed(tmp_path, corpus_file, "post.txt", *flags,
+                           "--postproc", "--epsilon", epsilon)
+    assert code == 2
+    expected = f"epsilon must be finite and > 0, got {float(epsilon)}"
+    assert expected in capsys.readouterr().err
+    for suffix in ("", ".manifest.json", ".report.json"):
+        assert not Path(str(emb) + suffix).exists()
+
+    code, emb = _run_embed(tmp_path, corpus_file, "emb.txt", *flags)
+    assert code == 0
+    out = tmp_path / "refined.txt"
+    assert main(["postproc", str(emb), "--out", str(out),
+                 "--epsilon", epsilon]) == 2
+    assert expected in capsys.readouterr().err
+    for suffix in ("", ".manifest.json", ".report.json"):
+        assert not Path(str(out) + suffix).exists()
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_embed_rejects_max_vocab_below_one(tmp_path, corpus_file, value):
+    with pytest.raises(SystemExit) as exc:
+        _run_embed(tmp_path, corpus_file, "emb.txt", "--bits", "6",
+                   "--max-vocab", value)
+    assert exc.value.code == 2
+    assert not (tmp_path / "emb.txt").exists()
+
+
+@pytest.mark.parametrize("flags,limit", [
+    (("--bits", "6", "--max-vocab", "5"), "(--max-vocab 5)"),
+    (("--bits", "3"), "(capacity 2^3 - 1)"),
+    (("--bits", "3", "--max-vocab", "7"), "(capacity 2^3 - 1)"),
+    (("--bits", "3", "--max-vocab", "9"), "(capacity 2^3 - 1)"),
+], ids=["max_vocab", "capacity", "both", "capacity_below_max_vocab"])
+def test_embed_truncation_warning_names_binding_limit(tmp_path, corpus_file,
+                                                      capsys, flags, limit):
+    code, out = _run_embed(tmp_path, corpus_file, "emb.txt", *flags)
+    assert code == 0
+    err = capsys.readouterr().err
+    assert "of 15 distinct tokens " + limit in err
 
 
 def test_count_manifest_records_digests(tmp_path, corpus_file):
@@ -362,3 +457,60 @@ def test_cli_import_does_not_load_scipy():
     result = subprocess.run([sys.executable, "-c", probe], env=env,
                             capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "False"
+
+
+# The `embed` manifest's config block, its `meta` part included, and the
+# output digests on the synth corpus. A change here changes the manifest
+# format or the artifacts.
+GOLDEN_CORPUS_SHA256 = \
+    "47ba5e387e526a462d9af9b32e149331001dad17449c4be06b6002baa9d6e763"
+_GOLDEN_TOKENIZER = {"doc_boundary": "line", "lowercase": True,
+                     "split_punctuation": True}
+GOLDEN_EMBED = {
+    "sum_postproc": (
+        ("--bits", "8", "--radius", "3", "--mode", "sum", "--log",
+         "--dtype", "df", "--include-center", "--max-vocab", "150",
+         "--postproc"),
+        {"bits": 8, "dtype": "df", "epsilon": 1e-05, "format": "text",
+         "include_center": True, "log": True, "max_vocab": 150,
+         "meta": {"bits": 8, "corpus_digest": GOLDEN_CORPUS_SHA256,
+                  "include_center": True, "log_weighting": True,
+                  "mode": "sum", "noise_mode": "df",
+                  "postproc": ["whiten", "center+l2"], "radius": 3},
+         "mode": "sum", "postproc": True, "radius": 3,
+         "tokenizer": _GOLDEN_TOKENIZER},
+        {"embeddings": "192641e28cd0b4269252a7d65d35b51a"
+                       "db82070a7725d1d6b3cbbb783a2aa944",
+         "postproc_report": "9e8285ef50e13ce61fa9c555d3bc1f17"
+                            "4e8226c81cc67b31b2a1491abd952725"}),
+    "cat": (
+        ("--bits", "6", "--radius", "2", "--mode", "cat",
+         "--format", "binary"),
+        {"bits": 6, "dtype": "unigram", "epsilon": None, "format": "binary",
+         "include_center": False, "log": False, "max_vocab": None,
+         "meta": {"bits": 6, "corpus_digest": GOLDEN_CORPUS_SHA256,
+                  "include_center": False, "log_weighting": False,
+                  "mode": "cat", "noise_mode": "unigram", "postproc": [],
+                  "radius": 2},
+         "mode": "cat", "postproc": False, "radius": 2,
+         "tokenizer": _GOLDEN_TOKENIZER},
+        {"embeddings": "9bb10f8fb9fbc867d52b188713ac8a23"
+                       "a00f175463a168d01c5fdf23bae4396b"}),
+}
+
+
+@pytest.mark.parametrize("setting", sorted(GOLDEN_EMBED))
+def test_embed_manifest_matches_golden(tmp_path, setting):
+    from bitcipher.synth import generate_tagged_sentences, sentences_to_text
+    flags, config, outputs = GOLDEN_EMBED[setting]
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text(sentences_to_text(generate_tagged_sentences(3_000,
+                                                                  seed=2)),
+                      encoding="utf-8")
+    code, out = _run_embed(tmp_path, corpus, "emb", *flags)
+    assert code == 0
+    manifest = read_manifest(str(out) + ".manifest.json")
+    assert manifest.inputs["corpus"]["sha256"] == GOLDEN_CORPUS_SHA256
+    assert manifest.config == config
+    assert {name: entry["sha256"]
+            for name, entry in manifest.outputs.items()} == outputs

@@ -163,7 +163,7 @@ def test_aggregate_single_count_identity():
     n = vocab.size + 1
     counts = CoocCounts("sum", 1, n, np.array([a * n + b]), np.array([1]))
     out = aggregate(counts, nu, ContextConfig(radius=1, mode="sum"))
-    assert np.allclose(out.rows[a], nu.rows[b], atol=1e-12)
+    assert np.allclose(out[a], nu[b], atol=1e-12)
 
 
 def test_aggregate_log_weight_of_e_minus_one_is_unit():
@@ -176,7 +176,7 @@ def test_aggregate_log_weight_of_e_minus_one_is_unit():
                         np.array([math.e - 1]))
     out = aggregate(counts, nu,
                     ContextConfig(radius=1, mode="sum", log_weighting=True))
-    assert np.allclose(out.rows[a], nu.rows[b], atol=1e-12)
+    assert np.allclose(out[a], nu[b], atol=1e-12)
 
 
 def test_self_cooccurrence_of_repeated_token():
@@ -188,7 +188,7 @@ def test_self_cooccurrence_of_repeated_token():
     config = ContextConfig(radius=1, mode="sum")
     out = embed_corpus(stream_documents(text), vocab, pair, noise, config)
     # neighbors are the token itself: 6 windowed pairs in the first document
-    assert np.allclose(out.rows[x], 6 * nu.rows[x], atol=1e-12)
+    assert np.allclose(out[x], 6 * nu[x], atol=1e-12)
 
 
 def test_include_center_adds_own_vector_once():
@@ -201,7 +201,7 @@ def test_include_center_adds_own_vector_once():
     with_center = embed_corpus(stream_documents(text), vocab, pair, noise,
                                ContextConfig(radius=1, mode="sum",
                                              include_center=True))
-    assert np.allclose(with_center.rows[a], base.rows[a] + nu.rows[a])
+    assert np.allclose(with_center[a], base[a] + nu[a])
 
 
 def test_cat_ignores_include_center():
@@ -212,7 +212,7 @@ def test_cat_ignores_include_center():
     flagged = embed_corpus(stream_documents(text), vocab, pair, noise,
                            ContextConfig(radius=2, mode="cat",
                                          include_center=True))
-    assert np.array_equal(plain.rows, flagged.rows)
+    assert np.array_equal(plain, flagged)
 
 
 @pytest.mark.parametrize("bits,radius", [(5, 1), (5, 2), (5, 4),
@@ -225,10 +225,10 @@ def test_dimension_law(bits, radius):
                            ContextConfig(radius=radius, mode="sum"))
     cat_out = embed_corpus(stream_documents(text), vocab, pair, noise,
                            ContextConfig(radius=radius, mode="cat"))
-    assert sum_out.dim == bits
-    assert cat_out.dim == 2 * radius * bits
-    assert sum_out.rows.shape[0] == vocab.size + 1
-    assert cat_out.rows.shape[0] == vocab.size + 1
+    assert sum_out.shape[1] == bits
+    assert cat_out.shape[1] == 2 * radius * bits
+    assert sum_out.shape[0] == vocab.size + 1
+    assert cat_out.shape[0] == vocab.size + 1
 
 
 def test_cat_slot_sum_equals_sum_row():
@@ -241,10 +241,10 @@ def test_cat_slot_sum_equals_sum_row():
     summed = embed_corpus(stream_documents(text), vocab, pair, noise,
                           ContextConfig(radius=radius, mode="sum"))
     bits = pair.bits
-    folded = sum(cat.rows[:, s * bits:(s + 1) * bits]
+    folded = sum(cat[:, s * bits:(s + 1) * bits]
                  for s in range(2 * radius))
-    scale = np.maximum(np.abs(summed.rows), 1.0)
-    assert np.all(np.abs(folded - summed.rows) / scale < 1e-6)
+    scale = np.maximum(np.abs(summed), 1.0)
+    assert np.all(np.abs(folded - summed) / scale < 1e-6)
 
 
 def test_offset_marginal_matches_sum_counts():
@@ -268,7 +268,7 @@ def test_fused_equals_two_phase():
     fused = embed_corpus(stream_documents(text), vocab, pair, noise, config)
     counts = accumulate_cooccurrence(stream_documents(text), vocab, config)
     two_phase = aggregate(counts, noisy_vectors(pair, noise), config)
-    assert np.all(np.abs(fused.rows - two_phase.rows) < 1e-9)
+    assert np.all(np.abs(fused - two_phase) < 1e-9)
 
 
 def test_fused_matches_independent_brute_force():
@@ -281,8 +281,8 @@ def test_fused_matches_independent_brute_force():
         fused = embed_corpus(stream_documents(text), vocab, pair, noise, config)
         docs = [line.split() for line in text.decode().splitlines()]
         counts = _brute_force_counts(docs, vocab, config)
-        expected = _brute_force_rows(counts, nu.rows, config, vocab.size + 1)
-        assert np.all(np.abs(fused.rows - expected) < 1e-9)
+        expected = _brute_force_rows(counts, nu, config, vocab.size + 1)
+        assert np.all(np.abs(fused - expected) < 1e-9)
 
 
 def test_rows_with_neighbors_are_nonzero():
@@ -294,7 +294,7 @@ def test_rows_with_neighbors_are_nonzero():
     out = embed_corpus(stream_documents(text), vocab, pair, noise, config)
     centers_with_neighbors = {c for c, _ in _cells(counts)}
     for center in centers_with_neighbors:
-        assert np.any(out.rows[center] != 0.0)
+        assert np.any(out[center] != 0.0)
 
 
 def test_empty_corpus_gives_zero_matrix():
@@ -302,8 +302,8 @@ def test_empty_corpus_gives_zero_matrix():
     table, vocab, pair, noise = _setup(b"a b\n", 4)  # vocab from a real corpus
     config = ContextConfig(radius=2, mode="cat")
     out = embed_corpus(stream_documents(text), vocab, pair, noise, config)
-    assert out.rows.shape == (vocab.size + 1, 2 * 2 * 4)
-    assert np.all(out.rows == 0.0)
+    assert out.shape == (vocab.size + 1, 2 * 2 * 4)
+    assert np.all(out == 0.0)
 
 
 @given(st.lists(st.lists(st.integers(0, 5), max_size=8), max_size=8),
@@ -363,7 +363,7 @@ def test_key_space_overflow_is_rejected():
                                 ContextConfig(radius=2 ** 62, mode="cat"))
 
 
-# SHA-256 of embed_corpus(...).rows.tobytes(), recorded with the scipy CSR
+# SHA-256 of embed_corpus(...).tobytes(), recorded with the scipy CSR
 # implementation; any change to summation order or weighting shows up here.
 GOLDEN_ROWS_SHA256 = {
     "sum": "36be569568a152c46299ee45c983799cba67b6e3cb08679d72d4be539ac81c65",
@@ -382,6 +382,6 @@ def test_embedding_bytes_match_golden_digest(config):
     assert vocab.size < len(table.counts)  # some tokens land on the OOV row
     pair = build_cipher(vocab.size, 8)
     noise = build_noise_model(table, vocab, pair, "df")
-    rows = embed_corpus(stream_documents(text), vocab, pair, noise, config).rows
+    rows = embed_corpus(stream_documents(text), vocab, pair, noise, config)
     assert hashlib.sha256(rows.tobytes()).hexdigest() == \
         GOLDEN_ROWS_SHA256[config.mode]

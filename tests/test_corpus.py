@@ -250,6 +250,14 @@ def test_vocabulary_errors():
         build_vocabulary(FrequencyTable({}, 0, 0), bits=5)
 
 
+@pytest.mark.parametrize("max_vocab", [0, -1, -3])
+def test_vocabulary_rejects_max_vocab_below_one(max_vocab):
+    table = FrequencyTable({"a": (3, 1), "b": (2, 1), "c": (1, 1)}, 6, 1)
+    with pytest.raises(ValueError, match=f"max_vocab must be >= 1, got "
+                                         f"{max_vocab}"):
+        build_vocabulary(table, bits=5, max_vocab=max_vocab)
+
+
 def test_vocabulary_index_bijection():
     counts = {f"w{i}": (100 - i, 1) for i in range(20)}
     table = FrequencyTable(counts, sum(100 - i for i in range(20)), 1)
@@ -275,3 +283,24 @@ def test_counting_deterministic(write_corpus):
     first = count_frequencies(stream_documents(path))
     second = count_frequencies(stream_documents(path))
     assert first == second
+
+
+@pytest.mark.parametrize("text,line,message", [
+    ("#M=5\na\t5\t1\n", 1, "malformed header"),
+    ("#M=x D=1\na\t5\t1\n", 1, "malformed header"),
+    ("#M=-5 D=1\na\t5\t1\n", 1, "malformed header"),
+    ("M=5 D=1\na\t5\t1\n", 1, "malformed header"),
+    ("", 1, "malformed header"),
+    ("#M=5 D=2\na\t3\t1\nb\t1\t1\na\t1\t1\n", 4,
+     "token 'a' repeats an earlier row"),
+    ("#M=5 D=2\na\tx\t1\n", 2, "malformed row"),
+], ids=["no_d", "non_integer", "negative", "no_hash", "empty",
+        "repeated_token", "bad_row"])
+def test_read_frequency_table_names_path_and_line(tmp_path, text, line,
+                                                  message):
+    path = tmp_path / "freq.tsv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError) as exc:
+        read_frequency_table(path)
+    assert str(exc.value).startswith(f"{path}:{line}: ")
+    assert message in str(exc.value)

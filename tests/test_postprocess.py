@@ -1,14 +1,12 @@
 import numpy as np
 import pytest
 
-from bitcipher.cooc import EmbeddingMatrix, EmbeddingMeta
 from bitcipher.postprocess import (PostprocReport, center_and_normalize,
                                    pipeline, whiten)
 
 
 def _matrix(rows):
-    rows = np.asarray(rows, dtype=np.float64)
-    return EmbeddingMatrix(rows, EmbeddingMeta(bits=rows.shape[1]))
+    return np.asarray(rows, dtype=np.float64)
 
 
 def _exactly_white(n, dim, seed):
@@ -30,16 +28,16 @@ def _sample_covariance(rows):
 def test_whiten_fixed_point_on_white_input():
     white = _exactly_white(500, 10, seed=0)
     out = whiten(_matrix(white))
-    assert np.all(np.abs(out.rows - white) < 1e-9)
+    assert np.all(np.abs(out - white) < 1e-9)
 
 
 def test_whiten_makes_covariance_identity():
     rng = np.random.default_rng(1)
     raw = rng.normal(size=(1000, 25)) @ rng.normal(size=(25, 25))
     out = whiten(_matrix(raw))
-    cov = _sample_covariance(out.rows)
+    cov = _sample_covariance(out)
     assert np.all(np.abs(cov - np.eye(25)) < 1e-6)
-    assert np.all(np.abs(out.rows.mean(axis=0)) < 1e-9)
+    assert np.all(np.abs(out.mean(axis=0)) < 1e-9)
 
 
 def test_whiten_zero_variance_column_flagged():
@@ -48,7 +46,7 @@ def test_whiten_zero_variance_column_flagged():
     raw[:, 3] = 2.5
     report = PostprocReport()
     out = whiten(_matrix(raw), report=report)
-    assert np.isfinite(out.rows).all()
+    assert np.isfinite(out).all()
     assert report.degenerate_directions >= 1
 
 
@@ -67,15 +65,15 @@ def test_whiten_rejects_non_finite():
 def test_center_and_normalize_unit_rows():
     rng = np.random.default_rng(3)
     out = center_and_normalize(_matrix(rng.normal(size=(50, 7))))
-    norms = np.linalg.norm(out.rows, axis=1)
+    norms = np.linalg.norm(out, axis=1)
     assert np.all(np.abs(norms - 1.0) < 1e-9)
 
 
 def test_center_and_normalize_opposite_rows():
     x = np.array([1.0, 2.0, -1.0])
     out = center_and_normalize(_matrix(np.stack([x, -x])))
-    assert np.allclose(np.linalg.norm(out.rows, axis=1), 1.0, atol=1e-12)
-    cosine = out.rows[0] @ out.rows[1]
+    assert np.allclose(np.linalg.norm(out, axis=1), 1.0, atol=1e-12)
+    cosine = out[0] @ out[1]
     assert cosine == pytest.approx(-1.0, abs=1e-12)
 
 
@@ -86,15 +84,15 @@ def test_center_and_normalize_zero_row_flagged():
     out = center_and_normalize(_matrix(rows), report=report)
     assert report.zero_rows == 1
     assert report.rows_normalized == 2
-    assert np.all(out.rows[2] == 0.0)
+    assert np.all(out[2] == 0.0)
 
 
 def test_center_row_mean_variant():
     rows = np.array([[1.0, 3.0], [5.0, 9.0]])
     out = center_and_normalize(_matrix(rows), row_mean=True)
     # each row has its own mean removed before normalization
-    assert np.allclose(out.rows[0], [-1, 1] / np.sqrt(2))
-    assert np.allclose(out.rows[1], [-1, 1] / np.sqrt(2))
+    assert np.allclose(out[0], [-1, 1] / np.sqrt(2))
+    assert np.allclose(out[1], [-1, 1] / np.sqrt(2))
 
 
 def test_pipeline_order_and_report():
@@ -102,8 +100,7 @@ def test_pipeline_order_and_report():
     out, report = pipeline(_matrix(rng.normal(size=(100, 6))))
     assert report.steps == ["whiten", "center", "l2_normalize"]
     assert report.epsilon == 1e-5
-    assert out.meta.postproc == ("whiten", "center+l2")
-    norms = np.linalg.norm(out.rows, axis=1)
+    norms = np.linalg.norm(out, axis=1)
     assert np.all(np.abs(norms - 1.0) < 1e-9)
 
 
@@ -111,7 +108,7 @@ def test_pipeline_preserves_shape():
     rng = np.random.default_rng(5)
     raw = rng.normal(size=(300, 25))
     out, _ = pipeline(_matrix(raw))
-    assert out.rows.shape == raw.shape
+    assert out.shape == raw.shape
 
 
 def test_pipeline_direction_stability():
@@ -123,14 +120,14 @@ def test_pipeline_direction_stability():
     raw = rng.normal(size=(1000, 25)) @ rng.normal(size=(25, 25))
     once, _ = pipeline(_matrix(raw))
     twice, _ = pipeline(once)
-    cosines = np.sum(once.rows * twice.rows, axis=1)
+    cosines = np.sum(once * twice, axis=1)
     assert np.all(np.abs(1.0 - cosines) < 2e-3)
 
 
 def test_pipeline_identity_covariance_input():
     white = _exactly_white(400, 12, seed=7)
     out, _ = pipeline(_matrix(white))
-    norms = np.linalg.norm(out.rows, axis=1)
+    norms = np.linalg.norm(out, axis=1)
     assert np.all(np.abs(norms - 1.0) < 1e-9)
 
 
@@ -141,3 +138,11 @@ def test_whiten_report_conditions():
     whiten(_matrix(raw), report=report)
     assert report.pre_covariance_condition > report.post_covariance_condition
     assert report.post_covariance_condition == pytest.approx(1.0, rel=1e-6)
+
+
+@pytest.mark.parametrize("epsilon", [0.0, -1.0, float("nan"), float("inf")])
+def test_epsilon_must_be_finite_and_positive(epsilon):
+    rows = np.random.default_rng(9).normal(size=(50, 4))
+    for step in (whiten, pipeline):
+        with pytest.raises(ValueError, match=f"got {epsilon}"):
+            step(rows, epsilon=epsilon)

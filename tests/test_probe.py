@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from bitcipher.cooc import EmbeddingMatrix, EmbeddingMeta
 from bitcipher.corpus import Vocabulary
 from bitcipher.probe import (LabeledTokenDataset, ProbeHyperparams,
                              ProbeModel, evaluate_probe, load_conll,
@@ -31,8 +30,7 @@ def _embedding(vocab_size, dim, seed=0, rows=None):
     if rows is None:
         rng = np.random.default_rng(seed)
         rows = rng.normal(size=(vocab_size + 1, dim))
-    return EmbeddingMatrix(np.asarray(rows, dtype=np.float64),
-                           EmbeddingMeta(bits=dim))
+    return np.asarray(rows, dtype=np.float64)
 
 
 def _vocab(tokens):
@@ -200,10 +198,10 @@ def test_training_is_seed_reproducible():
 
 def test_embeddings_stay_frozen():
     matrix, vocab, train, dev, _ = _separable_task()
-    before = hashlib.sha256(matrix.rows.tobytes()).hexdigest()
+    before = hashlib.sha256(matrix.tobytes()).hexdigest()
     hp = ProbeHyperparams(hidden=16, epochs=5, seed=0)
     train_probe(matrix, vocab, train, dev, hp)
-    after = hashlib.sha256(matrix.rows.tobytes()).hexdigest()
+    after = hashlib.sha256(matrix.tobytes()).hexdigest()
     assert before == after
 
 
@@ -368,7 +366,7 @@ def test_training_matches_reference_bit_for_bit(dropout, dim, with_dev):
                          rng.integers(0, len(labels), size=size), tag[ids])
         pairs = [(tokens[i], labels[t]) for i, t in zip(ids, noisy)]
         return (_dataset_from_pairs(pairs, labels, name),
-                matrix.rows[ids], noisy)
+                matrix[ids], noisy)
 
     train, x, y = split(300, "train")  # 300 = 4 * 64 + 44: a ragged batch
     dev, x_dev, y_dev = split(80, "dev") if with_dev else (None, None, None)

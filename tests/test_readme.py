@@ -17,5 +17,5 @@ def test_readme_library_snippet_runs(tmp_path, monkeypatch):
     scope: dict = {}
     exec(_library_snippet(), scope)
     vocab, emb = scope["vocab"], scope["emb"]
-    assert emb.rows.shape == (vocab.size + 1, 25)
+    assert emb.shape == (vocab.size + 1, 25)
     assert scope["report"].steps
