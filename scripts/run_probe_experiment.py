@@ -52,11 +52,10 @@ def main():
     table = bc.count_frequencies(bc.stream_documents(text))
     vocab = bc.build_vocabulary(table, args.bits)
     pair = bc.build_cipher(vocab.size, args.bits)
-    noise = bc.build_noise_model(table, vocab, pair, args.dtype)
+    nu = bc.build_noise_model(table, vocab, pair, args.dtype)
     config = bc.ContextConfig(radius=args.radius, mode=args.mode,
                               log_weighting=not args.no_log)
-    embeddings = bc.embed_corpus(bc.stream_documents(text), vocab, pair, noise,
-                                 config)
+    embeddings = bc.embed_corpus(bc.stream_documents(text), vocab, nu, config)
     if not args.no_postproc:
         embeddings, _ = bc.pipeline(embeddings)
     print(f"embeddings: {embeddings.shape[0]} rows x "

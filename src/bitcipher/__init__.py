@@ -9,10 +9,9 @@ probed with a small tagging classifier.
 
 __version__ = "0.1.0"
 
-from .cipher import (CapacityError, CipherPair, NoiseModel, build_cipher,
+from .cipher import (CapacityError, CipherPair, build_cipher,
                      build_noise_model, cipher_capacity, compute_beta,
-                     compute_sigma, dump_cipher_text, load_cipher,
-                     noisy_vectors, save_cipher)
+                     compute_sigma, load_cipher, noisy_vectors, save_cipher)
 from .cooc import (ContextConfig, CoocCounts, accumulate_cooccurrence,
                    aggregate, embed_corpus)
 from .corpus import (EncodingError, FrequencyTable, TokenizerConfig,
@@ -24,18 +23,17 @@ from .embedio import (OOV_TOKEN, escape_token, read_embeddings,
                       read_embeddings_binary, read_embeddings_text,
                       row_tokens, unescape_token, vocabulary_from_tokens,
                       write_embeddings_binary, write_embeddings_text)
-from .manifest import Manifest, read_manifest, sha256_file, write_manifest
+from .manifest import sha256_file, write_manifest
 from .postprocess import (PostprocReport, center_and_normalize, pipeline,
                           whiten)
 from .probe import (LabeledTokenDataset, ProbeHyperparams, ProbeMetrics,
-                    ProbeModel, evaluate_probe, load_conll, train_probe,
-                    write_conll)
+                    ProbeModel, evaluate_probe, load_conll, train_probe)
 
 __all__ = [
     "__version__",
-    "CapacityError", "CipherPair", "NoiseModel", "build_cipher",
-    "build_noise_model", "cipher_capacity", "compute_beta", "compute_sigma",
-    "dump_cipher_text", "load_cipher", "noisy_vectors", "save_cipher",
+    "CapacityError", "CipherPair", "build_cipher", "build_noise_model",
+    "cipher_capacity", "compute_beta", "compute_sigma", "load_cipher",
+    "noisy_vectors", "save_cipher",
     "ContextConfig", "CoocCounts", "accumulate_cooccurrence", "aggregate",
     "embed_corpus",
     "EncodingError", "FrequencyTable", "TokenizerConfig", "Vocabulary",
@@ -47,8 +45,8 @@ __all__ = [
     "read_embeddings_text", "row_tokens", "unescape_token",
     "vocabulary_from_tokens", "write_embeddings_binary",
     "write_embeddings_text",
-    "Manifest", "read_manifest", "sha256_file", "write_manifest",
+    "sha256_file", "write_manifest",
     "PostprocReport", "center_and_normalize", "pipeline", "whiten",
     "LabeledTokenDataset", "ProbeHyperparams", "ProbeMetrics", "ProbeModel",
-    "evaluate_probe", "load_conll", "train_probe", "write_conll",
+    "evaluate_probe", "load_conll", "train_probe",
 ]

@@ -120,19 +120,6 @@ def build_cipher(n_vectors: int, bits: int) -> CipherPair:
     return CipherPair(bit_rows, plain_rows, bits)
 
 
-@dataclass(frozen=True)
-class NoiseModel:
-    """Per-token fidelity and the noise centroid in cipher space.
-
-    ``beta[i]`` is the fraction of token i's observations trusted as
-    non-erroneous. ``sigma_cipher`` is the sigma-weighted average of plain
-    rows (see ``compute_sigma``), L1-unit by convexity.
-    """
-
-    beta: np.ndarray
-    sigma_cipher: np.ndarray
-
-
 def _vocab_frequencies(table: FrequencyTable, vocab: Vocabulary,
                        column: int) -> np.ndarray:
     try:
@@ -178,28 +165,33 @@ def compute_sigma(table: FrequencyTable, vocab: Vocabulary,
 
 
 def build_noise_model(table: FrequencyTable, vocab: Vocabulary,
-                      pair: CipherPair, mode: str = "unigram") -> NoiseModel:
+                      pair: CipherPair, mode: str = "unigram") -> np.ndarray:
+    """The (N+1) x b noisy token vectors of ``pair`` (see ``noisy_vectors``)."""
     beta = compute_beta(table, vocab, mode)
     _, sigma_cipher = compute_sigma(table, vocab, pair.plain_rows)
-    return NoiseModel(beta, sigma_cipher)
+    return noisy_vectors(pair, beta, sigma_cipher)
 
 
-def noisy_vectors(pair: CipherPair, noise: NoiseModel) -> np.ndarray:
+def noisy_vectors(pair: CipherPair, beta: np.ndarray,
+                  sigma_cipher: np.ndarray) -> np.ndarray:
     """Blend plain rows with the noise centroid: beta*v + (1-beta)*sigma.
 
-    Returns the (N+1) x b token vectors: every row is a convex combination
-    of L1-unit vectors, so it sums to 1 with entries in [0, 1]. The last
-    row, used for out-of-vocabulary tokens, is the pure noise centroid.
+    ``beta[i]`` is the fraction of rank i's observations trusted as
+    non-erroneous; ``sigma_cipher`` is the L1-unit noise centroid in cipher
+    space (see ``compute_sigma``). Returns the (N+1) x b token vectors:
+    every row is a convex combination of L1-unit vectors, so it sums to 1
+    with entries in [0, 1]. The last row, used for out-of-vocabulary
+    tokens, is the pure noise centroid.
     """
-    if noise.beta.shape[0] != pair.size:
-        raise ValueError(f"beta has {noise.beta.shape[0]} entries for "
+    if beta.shape[0] != pair.size:
+        raise ValueError(f"beta has {beta.shape[0]} entries for "
                          f"{pair.size} cipher rows")
-    if noise.sigma_cipher.shape[0] != pair.bits:
-        raise ValueError(f"sigma_cipher has {noise.sigma_cipher.shape[0]} "
+    if sigma_cipher.shape[0] != pair.bits:
+        raise ValueError(f"sigma_cipher has {sigma_cipher.shape[0]} "
                          f"entries for {pair.bits} bits")
-    beta = noise.beta[:, None]
-    body = beta * pair.plain_rows + (1.0 - beta) * noise.sigma_cipher
-    return np.vstack([body, noise.sigma_cipher[None, :]])
+    trust = beta[:, None]
+    body = trust * pair.plain_rows + (1.0 - trust) * sigma_cipher
+    return np.vstack([body, sigma_cipher[None, :]])
 
 
 def save_cipher(pair: CipherPair, path, mode: str = "") -> None:
@@ -238,12 +230,3 @@ def load_cipher(path) -> tuple[CipherPair, str]:
     reader.finish()
     return CipherPair(bit_rows, plain_rows, bits), mode
 
-
-def dump_cipher_text(pair: CipherPair, path) -> None:
-    """Human-readable dump: rank, bit pattern, and plain-row values."""
-    with open(path, "w", encoding="utf-8", newline="\n") as out:
-        out.write(f"# cipher bits={pair.bits} size={pair.size}\n")
-        for row in range(pair.size):
-            bits = "".join(str(b) for b in pair.bit_rows[row])
-            values = " ".join(f"{v:.6g}" for v in pair.plain_rows[row])
-            out.write(f"{row + 1}\t{bits}\t{values}\n")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import traceback
 from dataclasses import asdict
@@ -17,7 +18,7 @@ from .corpus import (TokenizerConfig, build_vocabulary, count_corpus,
                      write_frequency_table)
 from .embedio import (read_embeddings, row_tokens, vocabulary_from_tokens,
                       write_embeddings_binary, write_embeddings_text)
-from .manifest import Manifest, manifest_path, write_json, write_manifest
+from .manifest import manifest_path, write_json, write_manifest
 from .postprocess import DEFAULT_EPSILON, pipeline
 from .probe import ProbeHyperparams, evaluate_probe, load_conll, train_probe
 
@@ -42,8 +43,20 @@ def _tokenizer_config(args) -> TokenizerConfig:
                            doc_boundary=args.doc_boundary)
 
 
-def _new_manifest(command: str, config: dict) -> Manifest:
-    return Manifest(command=command, version=__version__, config=config)
+def _report_path(out) -> Path:
+    return Path(str(out) + ".report.json")
+
+
+def _check_paths(inputs: dict, outputs: dict, artifact) -> None:
+    """Refuse an output path that is an input or another output, before
+    anything is written; the manifest beside ``artifact`` is an output."""
+    taken = {os.path.realpath(path): "an input" for path in inputs.values()}
+    for path in [*outputs.values(), manifest_path(artifact)]:
+        real = os.path.realpath(path)
+        if real in taken:
+            raise ValueError(f"{path}: output path is also {taken[real]} "
+                             "of this command")
+        taken[real] = "another output"
 
 
 def _write_embeddings(rows, tokens, path, fmt: str) -> None:
@@ -59,22 +72,27 @@ def _positive_int(text: str) -> int:
 
 
 def cmd_count(args) -> int:
+    inputs, outputs = {"corpus": args.corpus}, {"frequencies": args.out}
+    _check_paths(inputs, outputs, args.out)
     config = _tokenizer_config(args)
     table = count_corpus(args.corpus, config, workers=args.threads)
     write_frequency_table(table, args.out)
-    manifest = _new_manifest("count", {
-        "tokenizer": asdict(config),
-        "threads": args.threads,
-    })
-    manifest.record_input("corpus", args.corpus)
-    manifest.record_output("frequencies", args.out)
-    write_manifest(manifest, manifest_path(args.out))
+    write_manifest(args.out, "count",
+                   {"tokenizer": asdict(config), "threads": args.threads},
+                   inputs, outputs)
     print(f"counted {table.total_tokens} tokens in {table.total_documents} "
           f"documents ({len(table.counts)} distinct) -> {args.out}")
     return EXIT_OK
 
 
 def cmd_embed(args) -> int:
+    inputs = {"corpus": args.corpus, "frequencies": args.freq}
+    outputs = {"embeddings": args.out}
+    if args.save_cipher:
+        outputs["cipher"] = args.save_cipher
+    if args.postproc:
+        outputs["postproc_report"] = _report_path(args.out)
+    _check_paths(inputs, outputs, args.out)
     config = _tokenizer_config(args)
     table = read_frequency_table(args.freq)
     vocab = build_vocabulary(table, args.bits, max_vocab=args.max_vocab)
@@ -86,13 +104,9 @@ def cmd_embed(args) -> int:
               f"{len(table.counts)} distinct tokens ({limit})",
               file=sys.stderr)
     pair = build_cipher(vocab.size, args.bits)
-    noise = build_noise_model(table, vocab, pair, mode=args.dtype)
     context = ContextConfig(radius=args.radius, mode=args.mode,
                             log_weighting=args.log,
                             include_center=args.include_center)
-    manifest = _new_manifest("embed", {})
-    manifest.record_input("corpus", args.corpus)
-    manifest.record_input("frequencies", args.freq)
     tokens = 0
 
     def documents():
@@ -101,17 +115,24 @@ def cmd_embed(args) -> int:
             tokens += len(document)
             yield document
 
-    rows = embed_corpus(documents(), vocab, pair, noise, context)
+    # No name holds the noisy vectors, so they are freed once aggregated
+    # rather than adding to the peak RSS of post-processing and writing.
+    rows = embed_corpus(documents(), vocab,
+                        build_noise_model(table, vocab, pair, mode=args.dtype),
+                        context)
     if tokens != table.total_tokens:
         raise ValueError(f"{args.corpus} holds {tokens} tokens but "
                          f"{args.freq} was counted over "
                          f"M={table.total_tokens}: the frequency table "
                          f"belongs to another corpus or tokenizer")
-    report = None
     if args.postproc:
         rows, report = pipeline(rows, epsilon=args.epsilon)
-
-    manifest.config = {
+    _write_embeddings(rows, row_tokens(vocab), args.out, args.format)
+    if args.save_cipher:
+        save_cipher(pair, args.save_cipher, mode=args.dtype)
+    if args.postproc:
+        write_json(asdict(report), outputs["postproc_report"])
+    write_manifest(args.out, "embed", {
         "bits": args.bits,
         "radius": args.radius,
         "mode": args.mode,
@@ -123,56 +144,35 @@ def cmd_embed(args) -> int:
         "epsilon": args.epsilon if args.postproc else None,
         "format": args.format,
         "tokenizer": asdict(config),
-        # provenance of the rows; it repeats the flags above, but it is
-        # part of the manifest format
-        "meta": {
-            "bits": args.bits,
-            "radius": args.radius,
-            "mode": args.mode,
-            "log_weighting": args.log,
-            "include_center": args.include_center,
-            "noise_mode": args.dtype,
-            "corpus_digest": manifest.inputs["corpus"]["sha256"],
-            "postproc": ["whiten", "center+l2"] if args.postproc else [],
-        },
-    }
-    _write_embeddings(rows, row_tokens(vocab), args.out, args.format)
-    manifest.record_output("embeddings", args.out)
-    if args.save_cipher:
-        save_cipher(pair, args.save_cipher, mode=args.dtype)
-        manifest.record_output("cipher", args.save_cipher)
-    if report is not None:
-        report_file = Path(str(args.out) + ".report.json")
-        write_json(asdict(report), report_file)
-        manifest.record_output("postproc_report", report_file)
-    write_manifest(manifest, manifest_path(args.out))
+    }, inputs, outputs)
     print(f"embedded {vocab.size}+oov rows at dimension {rows.shape[1]} "
           f"-> {args.out}")
     return EXIT_OK
 
 
 def cmd_postproc(args) -> int:
+    inputs = {"embeddings": args.embeddings}
+    outputs = {"embeddings": args.out, "report": _report_path(args.out)}
+    _check_paths(inputs, outputs, args.out)
     rows, tokens = read_embeddings(args.embeddings)
     refined, report = pipeline(rows, epsilon=args.epsilon,
                                row_mean=args.row_mean)
     _write_embeddings(refined, tokens, args.out, args.format)
-    report_file = Path(str(args.out) + ".report.json")
-    write_json(asdict(report), report_file)
-    manifest = _new_manifest("postproc", {
-        "epsilon": args.epsilon,
-        "row_mean": args.row_mean,
-        "format": args.format,
-    })
-    manifest.record_input("embeddings", args.embeddings)
-    manifest.record_output("embeddings", args.out)
-    manifest.record_output("report", report_file)
-    write_manifest(manifest, manifest_path(args.out))
+    write_json(asdict(report), outputs["report"])
+    write_manifest(args.out, "postproc", {"epsilon": args.epsilon,
+                                          "row_mean": args.row_mean,
+                                          "format": args.format},
+                   inputs, outputs)
     print(f"postprocessed {rows.shape[0]} rows ({', '.join(report.steps)}) "
           f"-> {args.out}")
     return EXIT_OK
 
 
 def cmd_probe(args) -> int:
+    inputs = {"embeddings": args.embeddings, "train": args.train,
+              "dev": args.dev, "test": args.test}
+    outputs = {"metrics": args.metrics_out}
+    _check_paths(inputs, outputs, args.metrics_out)
     rows, tokens = read_embeddings(args.embeddings)
     vocab = vocabulary_from_tokens(tokens)
     train = load_conll(args.train, args.token_column, args.label_column, "train")
@@ -188,25 +188,20 @@ def cmd_probe(args) -> int:
     payload = metrics.to_dict()
     payload["hyperparams"] = asdict(hp)
     write_json(payload, args.metrics_out)
-    manifest = _new_manifest("probe", {"hyperparams": asdict(hp),
-                                       "token_column": args.token_column,
-                                       "label_column": args.label_column})
-    manifest.record_input("embeddings", args.embeddings)
-    manifest.record_input("train", args.train)
-    manifest.record_input("dev", args.dev)
-    manifest.record_input("test", args.test)
-    manifest.record_output("metrics", args.metrics_out)
-    write_manifest(manifest, manifest_path(args.metrics_out))
+    write_manifest(args.metrics_out, "probe",
+                   {"hyperparams": asdict(hp),
+                    "token_column": args.token_column,
+                    "label_column": args.label_column}, inputs, outputs)
     return EXIT_OK
 
 
 def cmd_export(args) -> int:
+    inputs, outputs = {"embeddings": args.embeddings}, {"embeddings": args.out}
+    _check_paths(inputs, outputs, args.out)
     rows, tokens = read_embeddings(args.embeddings)
     _write_embeddings(rows, tokens, args.out, args.format)
-    manifest = _new_manifest("export", {"format": args.format})
-    manifest.record_input("embeddings", args.embeddings)
-    manifest.record_output("embeddings", args.out)
-    write_manifest(manifest, manifest_path(args.out))
+    write_manifest(args.out, "export", {"format": args.format},
+                   inputs, outputs)
     print(f"exported {rows.shape[0]} x {rows.shape[1]} as {args.format} "
           f"-> {args.out}")
     return EXIT_OK

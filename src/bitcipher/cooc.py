@@ -9,7 +9,6 @@ from typing import Iterable
 
 import numpy as np
 
-from .cipher import CipherPair, NoiseModel, noisy_vectors
 from .corpus import Vocabulary
 
 
@@ -152,13 +151,7 @@ def aggregate(counts: CoocCounts, nu: np.ndarray,
 
 
 def embed_corpus(documents: Iterable[list[str]], vocab: Vocabulary,
-                 pair: CipherPair, noise: NoiseModel,
-                 config: ContextConfig) -> np.ndarray:
-    """Count and aggregate in one pass over the documents.
-
-    Equivalent (to float tolerance) to accumulate_cooccurrence followed by
-    aggregate with the same inputs.
-    """
-    nu = noisy_vectors(pair, noise)
-    counts = accumulate_cooccurrence(documents, vocab, config)
-    return aggregate(counts, nu, config)
+                 nu: np.ndarray, config: ContextConfig) -> np.ndarray:
+    """Count the documents' windows and aggregate the noisy vectors ``nu``."""
+    return aggregate(accumulate_cooccurrence(documents, vocab, config), nu,
+                     config)

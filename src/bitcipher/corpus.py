@@ -133,12 +133,6 @@ class FrequencyTable:
     total_tokens: int = 0
     total_documents: int = 0
 
-    def unigram(self, token: str) -> int:
-        return self.counts[token][0]
-
-    def doc_frequency(self, token: str) -> int:
-        return self.counts[token][1]
-
 
 def count_frequencies(documents: Iterable[list[str]]) -> FrequencyTable:
     """Count unigram and document frequencies over tokenized documents.
@@ -284,6 +278,9 @@ def read_frequency_table(path: str | Path) -> FrequencyTable:
                 row = (int(f), int(d))
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: malformed row {line!r}") from exc
+            if not 1 <= row[1] <= row[0] <= total_tokens:
+                raise ValueError(f"{path}:{lineno}: counts f={f} d={d} break "
+                                 f"1 <= d <= f <= M={total_tokens}")
             if token in counts:
                 raise ValueError(f"{path}:{lineno}: token {token!r} repeats "
                                  "an earlier row")

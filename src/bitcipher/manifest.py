@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
 from pathlib import Path
+
+from . import __version__
 
 
 def sha256_file(path: str | Path, chunk_size: int = 1 << 20) -> str:
@@ -25,21 +26,6 @@ def sha256_file(path: str | Path, chunk_size: int = 1 << 20) -> str:
     return digest.hexdigest()
 
 
-@dataclass
-class Manifest:
-    command: str
-    version: str
-    config: dict = field(default_factory=dict)
-    inputs: dict = field(default_factory=dict)
-    outputs: dict = field(default_factory=dict)
-
-    def record_input(self, name: str, path: str | Path) -> None:
-        self.inputs[name] = {"path": str(path), "sha256": sha256_file(path)}
-
-    def record_output(self, name: str, path: str | Path) -> None:
-        self.outputs[name] = {"path": str(path), "sha256": sha256_file(path)}
-
-
 def manifest_path(artifact_path: str | Path) -> Path:
     return Path(str(artifact_path) + ".manifest.json")
 
@@ -51,12 +37,14 @@ def write_json(obj, path: str | Path) -> None:
         out.write("\n")
 
 
-def write_manifest(manifest: Manifest, path: str | Path) -> None:
-    write_json(asdict(manifest), path)
+def write_manifest(artifact: str | Path, command: str, config: dict,
+                   inputs: dict, outputs: dict) -> None:
+    """Write ``<artifact>.manifest.json``; ``inputs`` and ``outputs`` map
+    names to paths, each recorded with its SHA-256."""
+    def files(paths):
+        return {name: {"path": str(path), "sha256": sha256_file(path)}
+                for name, path in paths.items()}
 
-
-def read_manifest(path: str | Path) -> Manifest:
-    with open(path, "r", encoding="utf-8") as src:
-        data = json.load(src)
-    return Manifest(data["command"], data["version"], data["config"],
-                    data["inputs"], data["outputs"])
+    write_json({"command": command, "version": __version__, "config": config,
+                "inputs": files(inputs), "outputs": files(outputs)},
+               manifest_path(artifact))

@@ -87,15 +87,6 @@ def load_conll(path, token_column: int = 0, label_column: int = -1,
     return LabeledTokenDataset(sequences, tuple(label_set), split)
 
 
-def write_conll(dataset: LabeledTokenDataset, path) -> None:
-    """Write token/label pairs back out, one sequence per blank-line block."""
-    with open(path, "w", encoding="utf-8", newline="\n") as out:
-        for seq in dataset.sequences:
-            for token, label in seq:
-                out.write(f"{token} {label}\n")
-            out.write("\n")
-
-
 @dataclass(frozen=True)
 class ProbeHyperparams:
     hidden: int = 256

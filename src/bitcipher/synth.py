@@ -116,14 +116,6 @@ def sentences_to_text(sentences: list[list[tuple[str, str]]]) -> str:
     return "\n".join(" ".join(tok for tok, _ in sent) for sent in sentences) + "\n"
 
 
-def write_text_corpus(path, n_tokens: int, seed: int = 0) -> int:
-    """Generate a corpus file; returns the number of tokens written."""
-    sentences = generate_tagged_sentences(n_tokens, seed)
-    with open(path, "w", encoding="utf-8", newline="\n") as out:
-        out.write(sentences_to_text(sentences))
-    return sum(len(s) for s in sentences)
-
-
 def split_types(seed: int = 0, holdout_fraction: float = 0.2,
                 categories: tuple[str, ...] = ("NOUN", "VERB", "ADJ", "ADV")
                 ) -> tuple[set[str], set[str]]:

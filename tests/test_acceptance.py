@@ -120,8 +120,7 @@ def test_criterion_3_noise_invariants(n, seed):
     assert abs(sigma_cipher.sum() - 1.0) < 1e-12
 
     mode = "df" if seed % 2 else "unigram"
-    noise = bc.build_noise_model(table, vocab, pair, mode)
-    nu = bc.noisy_vectors(pair, noise)
+    nu = bc.build_noise_model(table, vocab, pair, mode)
     assert np.all(np.abs(nu.sum(axis=1) - 1.0) < 1e-12)
     assert np.all(nu >= 0.0) and np.all(nu <= 1.0)
     _Criterion3Timer.cases += 1
@@ -147,10 +146,9 @@ def test_criterion_4_dimension_law():
     for bits, dim in expected.items():
         vocab = bc.build_vocabulary(table, bits)
         pair = bc.build_cipher(vocab.size, bits)
-        noise = bc.build_noise_model(table, vocab, pair, "unigram")
+        nu = bc.build_noise_model(table, vocab, pair, "unigram")
         config = bc.ContextConfig(radius=4, mode="cat")
-        out = bc.embed_corpus(bc.stream_documents(text), vocab, pair, noise,
-                              config)
+        out = bc.embed_corpus(bc.stream_documents(text), vocab, nu, config)
         assert out.shape[1] == dim == 2 * 4 * bits
         assert config.output_dim(bits) == dim
     print("PASS criterion 4: cat dimension equals 2*r*b on the r=4 grid "
@@ -195,26 +193,22 @@ def test_criterion_5_cooccurrence_oracle_equivalence():
     table = bc.count_frequencies(bc.stream_documents(text))
     vocab = bc.build_vocabulary(table, bits=9)
     pair = bc.build_cipher(vocab.size, 9)
-    noise = bc.build_noise_model(table, vocab, pair, "df")
-    nu = bc.noisy_vectors(pair, noise)
+    nu = bc.build_noise_model(table, vocab, pair, "df")
     docs = [line.split() for line in text.decode().splitlines()]
 
     for mode, log_weighting in (("sum", True), ("cat", True),
                                 ("sum", False), ("cat", False)):
         config = bc.ContextConfig(radius=4, mode=mode,
                                   log_weighting=log_weighting)
-        fused = bc.embed_corpus(bc.stream_documents(text), vocab, pair, noise,
-                                config)
+        fused = bc.embed_corpus(bc.stream_documents(text), vocab, nu, config)
         expected = _brute_force_embedding(docs, vocab, nu, config)
         assert np.all(np.abs(fused - expected) < 1e-9)
 
     # cat slots fold back to the sum rows (linear weighting)
     config_cat = bc.ContextConfig(radius=4, mode="cat")
     config_sum = bc.ContextConfig(radius=4, mode="sum")
-    cat = bc.embed_corpus(bc.stream_documents(text), vocab, pair, noise,
-                          config_cat)
-    summed = bc.embed_corpus(bc.stream_documents(text), vocab, pair, noise,
-                             config_sum)
+    cat = bc.embed_corpus(bc.stream_documents(text), vocab, nu, config_cat)
+    summed = bc.embed_corpus(bc.stream_documents(text), vocab, nu, config_sum)
     bits = pair.bits
     folded = sum(cat[:, s * bits:(s + 1) * bits] for s in range(8))
     scale = np.maximum(np.abs(summed), 1e-30)
@@ -315,10 +309,10 @@ def test_criterion_8_probe_sanity():
     table = bc.count_frequencies(bc.stream_documents(text))
     corpus_vocab = bc.build_vocabulary(table, bits=25)
     pair = bc.build_cipher(corpus_vocab.size, 25)
-    noise = bc.build_noise_model(table, corpus_vocab, pair, "df")
+    nu = bc.build_noise_model(table, corpus_vocab, pair, "df")
     config = bc.ContextConfig(radius=4, mode="sum", log_weighting=True)
-    embeddings = bc.embed_corpus(bc.stream_documents(text), corpus_vocab, pair,
-                                 noise, config)
+    embeddings = bc.embed_corpus(bc.stream_documents(text), corpus_vocab, nu,
+                                 config)
     embeddings, _ = bc.pipeline(embeddings)
 
     _, holdout_types = split_types(seed=0)

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from bitcipher.cipher import (CapacityError, NoiseModel, build_cipher,
+from bitcipher.cipher import (CapacityError, build_cipher,
                               build_noise_model, cipher_capacity,
-                              compute_beta, compute_sigma, dump_cipher_text,
-                              load_cipher, noisy_vectors, save_cipher)
+                              compute_beta, compute_sigma, load_cipher,
+                              noisy_vectors, save_cipher)
 from bitcipher.corpus import FrequencyTable, Vocabulary, build_vocabulary
 
 
@@ -198,24 +198,21 @@ def test_sigma_truncated_vocab_still_unit():
 def test_noisy_vectors_identity_when_beta_one():
     pair = build_cipher(4, 5)
     sigma_cipher = np.full(5, 0.2)
-    noise = NoiseModel(np.ones(4), sigma_cipher)
-    nu = noisy_vectors(pair, noise)
+    nu = noisy_vectors(pair, np.ones(4), sigma_cipher)
     assert np.allclose(nu[:4], pair.plain_rows)
 
 
 def test_noisy_vectors_pure_noise_when_beta_zero():
     pair = build_cipher(4, 5)
     sigma_cipher = np.full(5, 0.2)
-    noise = NoiseModel(np.zeros(4), sigma_cipher)
-    nu = noisy_vectors(pair, noise)
+    nu = noisy_vectors(pair, np.zeros(4), sigma_cipher)
     assert np.allclose(nu, sigma_cipher)
 
 
 def test_noisy_vectors_blend_arithmetic():
     pair = build_cipher(1, 5)  # single row: e1
     sigma_cipher = np.full(5, 0.2)
-    noise = NoiseModel(np.array([0.75]), sigma_cipher)
-    nu = noisy_vectors(pair, noise)
+    nu = noisy_vectors(pair, np.array([0.75]), sigma_cipher)
     assert np.allclose(nu[0], [0.8, 0.05, 0.05, 0.05, 0.05])
 
 
@@ -223,17 +220,16 @@ def test_noisy_vectors_oov_row_is_noise_centroid():
     table = _table([5, 3, 2])
     vocab = _vocab(3)
     pair = build_cipher(3, 4)
-    noise = build_noise_model(table, vocab, pair, "unigram")
-    nu = noisy_vectors(pair, noise)
-    assert np.array_equal(nu[-1], noise.sigma_cipher)
+    _, sigma_cipher = compute_sigma(table, vocab, pair.plain_rows)
+    nu = build_noise_model(table, vocab, pair, "unigram")
+    assert np.array_equal(nu[-1], sigma_cipher)
     assert nu.shape == (4, 4)
 
 
 def test_noisy_vectors_dimension_mismatch():
     pair = build_cipher(3, 4)
-    bad = NoiseModel(np.ones(2), np.full(4, 0.25))
     with pytest.raises(ValueError):
-        noisy_vectors(pair, bad)
+        noisy_vectors(pair, np.ones(2), np.full(4, 0.25))
 
 
 @given(st.integers(2, 400), st.integers(0, 2**32 - 1))
@@ -246,8 +242,7 @@ def test_noise_rows_are_probability_vectors(n, seed):
     bits = max(2, n.bit_length())
     pair = build_cipher(n, bits)
     mode = "df" if seed % 2 else "unigram"
-    noise = build_noise_model(table, vocab, pair, mode)
-    nu = noisy_vectors(pair, noise)
+    nu = build_noise_model(table, vocab, pair, mode)
     assert np.allclose(nu.sum(axis=1), 1.0, atol=1e-12)
     assert np.all(nu >= 0.0)
     assert np.all(nu <= 1.0)
@@ -296,12 +291,3 @@ def test_cipher_load_rejects_corrupt_files(tmp_path, case):
         load_cipher(path)
     assert str(err.value) == f"{path}: {message}"
 
-
-def test_cipher_text_dump(tmp_path):
-    pair = build_cipher(7, 5)
-    path = tmp_path / "cipher.txt"
-    dump_cipher_text(pair, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "# cipher bits=5 size=7"
-    assert len(lines) == 8
-    assert lines[1].split("\t")[1] == "10000"

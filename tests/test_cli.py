@@ -13,7 +13,6 @@ import pytest
 import bitcipher
 from bitcipher.cli import main
 from bitcipher.embedio import read_embeddings_text
-from bitcipher.manifest import read_manifest
 
 CORPUS = """\
 the cat sat on the mat .
@@ -134,10 +133,11 @@ def test_embed_deterministic_manifests(tmp_path, corpus_file):
     code1, out1 = _run_embed(tmp_path, corpus_file, "emb1.txt", *flags)
     code2, out2 = _run_embed(tmp_path, corpus_file, "emb2.txt", *flags)
     assert code1 == code2 == 0
-    m1 = read_manifest(str(out1) + ".manifest.json")
-    m2 = read_manifest(str(out2) + ".manifest.json")
-    assert m1.outputs["embeddings"]["sha256"] == m2.outputs["embeddings"]["sha256"]
-    assert m1.inputs == m2.inputs
+    m1 = json.loads(Path(str(out1) + ".manifest.json").read_text())
+    m2 = json.loads(Path(str(out2) + ".manifest.json").read_text())
+    assert (m1["outputs"]["embeddings"]["sha256"]
+            == m2["outputs"]["embeddings"]["sha256"])
+    assert m1["inputs"] == m2["inputs"]
     assert out1.read_bytes() == out2.read_bytes()
 
 
@@ -166,6 +166,63 @@ def test_embed_rejects_another_corpus_frequency_table(tmp_path, corpus_file,
     assert str(corpus_file) in err and str(freq) in err
     assert not out.exists()
     assert not Path(str(out) + ".manifest.json").exists()
+
+
+@pytest.mark.parametrize("row", ["tok\t0\t0", "tok\t-1\t1", "tok\t2\t3",
+                                 "tok\t999\t1"])
+def test_embed_rejects_frequency_row_out_of_range(tmp_path, corpus_file,
+                                                  capsys, row):
+    freq = tmp_path / "freq.tsv"
+    assert main(["count", str(corpus_file), "--out", str(freq)]) == 0
+    freq.write_text(freq.read_text() + row + "\n")
+    line = len(freq.read_text().splitlines())
+    out = tmp_path / "emb.txt"
+    capsys.readouterr()
+    for dtype in ("unigram", "df"):
+        assert main(["embed", str(corpus_file), "--freq", str(freq),
+                     "--out", str(out), "--bits", "6",
+                     "--dtype", dtype]) == 2
+        assert f"{freq}:{line}: counts " in capsys.readouterr().err
+        assert not out.exists()
+        assert not Path(str(out) + ".manifest.json").exists()
+
+
+def _clash_argv(case, tmp_path, corpus_file, emb):
+    freq, conll = tmp_path / "freq.tsv", tmp_path / "data.conll"
+    out = str(tmp_path / "out.txt")
+    embed = ["embed", str(corpus_file), "--freq", str(freq), "--bits", "5"]
+    return {
+        # the same file under another spelling of its path
+        "count": ["count", str(corpus_file),
+                  "--out", str(tmp_path / "." / corpus_file.name)],
+        "embed_over_corpus": embed + ["--out", str(corpus_file)],
+        "embed_cipher_over_out": embed + ["--out", out, "--save-cipher", out],
+        "embed_cipher_over_report": embed + [
+            "--out", out, "--postproc", "--save-cipher", out + ".report.json"],
+        "embed_cipher_over_manifest": embed + [
+            "--out", out, "--save-cipher", out + ".manifest.json"],
+        "postproc": ["postproc", str(emb), "--out", str(emb)],
+        "probe": ["probe", str(emb), "--train", str(conll), "--dev",
+                  str(conll), "--test", str(conll),
+                  "--metrics-out", str(conll)],
+        "export": ["export", str(emb), "--out", str(emb), "--format", "text"],
+    }[case]
+
+
+@pytest.mark.parametrize("case", [
+    "count", "embed_over_corpus", "embed_cipher_over_out",
+    "embed_cipher_over_report", "embed_cipher_over_manifest", "postproc",
+    "probe", "export"])
+def test_output_path_clash_exits_2(tmp_path, corpus_file, capsys, case):
+    code, emb = _run_embed(tmp_path, corpus_file, "emb.txt", "--bits", "5")
+    assert code == 0
+    (tmp_path / "data.conll").write_text(CONLL)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    capsys.readouterr()
+    assert main(_clash_argv(case, tmp_path, corpus_file, emb)) == 2
+    assert "output path is also" in capsys.readouterr().err
+    # no input changed and nothing was written, manifests included
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 def test_postproc_command(tmp_path, corpus_file):
@@ -413,11 +470,11 @@ def test_embed_truncation_warning_names_binding_limit(tmp_path, corpus_file,
 def test_count_manifest_records_digests(tmp_path, corpus_file):
     out = tmp_path / "freq.tsv"
     assert main(["count", str(corpus_file), "--out", str(out)]) == 0
-    manifest = read_manifest(str(out) + ".manifest.json")
-    assert manifest.command == "count"
-    assert manifest.inputs["corpus"]["sha256"]
-    assert manifest.outputs["frequencies"]["sha256"]
-    assert manifest.config["tokenizer"]["lowercase"] is True
+    manifest = json.loads(Path(str(out) + ".manifest.json").read_text())
+    assert manifest["command"] == "count"
+    assert manifest["inputs"]["corpus"]["sha256"]
+    assert manifest["outputs"]["frequencies"]["sha256"]
+    assert manifest["config"]["tokenizer"]["lowercase"] is True
 
 
 def _corrupt_bin(data: bytes, case: str, n_values: int) -> bytes:
@@ -459,9 +516,8 @@ def test_cli_import_does_not_load_scipy():
     assert result.stdout.strip() == "False"
 
 
-# The `embed` manifest's config block, its `meta` part included, and the
-# output digests on the synth corpus. A change here changes the manifest
-# format or the artifacts.
+# The `embed` manifest's config block and the output digests on the synth
+# corpus. A change here changes the manifest format or the artifacts.
 GOLDEN_CORPUS_SHA256 = \
     "47ba5e387e526a462d9af9b32e149331001dad17449c4be06b6002baa9d6e763"
 _GOLDEN_TOKENIZER = {"doc_boundary": "line", "lowercase": True,
@@ -473,10 +529,6 @@ GOLDEN_EMBED = {
          "--postproc"),
         {"bits": 8, "dtype": "df", "epsilon": 1e-05, "format": "text",
          "include_center": True, "log": True, "max_vocab": 150,
-         "meta": {"bits": 8, "corpus_digest": GOLDEN_CORPUS_SHA256,
-                  "include_center": True, "log_weighting": True,
-                  "mode": "sum", "noise_mode": "df",
-                  "postproc": ["whiten", "center+l2"], "radius": 3},
          "mode": "sum", "postproc": True, "radius": 3,
          "tokenizer": _GOLDEN_TOKENIZER},
         {"embeddings": "192641e28cd0b4269252a7d65d35b51a"
@@ -488,10 +540,6 @@ GOLDEN_EMBED = {
          "--format", "binary"),
         {"bits": 6, "dtype": "unigram", "epsilon": None, "format": "binary",
          "include_center": False, "log": False, "max_vocab": None,
-         "meta": {"bits": 6, "corpus_digest": GOLDEN_CORPUS_SHA256,
-                  "include_center": False, "log_weighting": False,
-                  "mode": "cat", "noise_mode": "unigram", "postproc": [],
-                  "radius": 2},
          "mode": "cat", "postproc": False, "radius": 2,
          "tokenizer": _GOLDEN_TOKENIZER},
         {"embeddings": "9bb10f8fb9fbc867d52b188713ac8a23"
@@ -499,18 +547,118 @@ GOLDEN_EMBED = {
 }
 
 
-@pytest.mark.parametrize("setting", sorted(GOLDEN_EMBED))
-def test_embed_manifest_matches_golden(tmp_path, setting):
+def _synth_corpus(tmp_path):
     from bitcipher.synth import generate_tagged_sentences, sentences_to_text
-    flags, config, outputs = GOLDEN_EMBED[setting]
     corpus = tmp_path / "corpus.txt"
     corpus.write_text(sentences_to_text(generate_tagged_sentences(3_000,
                                                                   seed=2)),
                       encoding="utf-8")
+    return corpus
+
+
+@pytest.mark.parametrize("setting", sorted(GOLDEN_EMBED))
+def test_embed_manifest_matches_golden(tmp_path, setting):
+    flags, config, outputs = GOLDEN_EMBED[setting]
+    corpus = _synth_corpus(tmp_path)
     code, out = _run_embed(tmp_path, corpus, "emb", *flags)
     assert code == 0
-    manifest = read_manifest(str(out) + ".manifest.json")
-    assert manifest.inputs["corpus"]["sha256"] == GOLDEN_CORPUS_SHA256
-    assert manifest.config == config
+    manifest = json.loads(Path(str(out) + ".manifest.json").read_text())
+    assert manifest["inputs"]["corpus"]["sha256"] == GOLDEN_CORPUS_SHA256
+    assert manifest["config"] == config
     assert {name: entry["sha256"]
-            for name, entry in manifest.outputs.items()} == outputs
+            for name, entry in manifest["outputs"].items()} == outputs
+
+
+def _conll_text(sentences):
+    return "".join("".join(f"{token} {tag}\n" for token, tag in sentence)
+                   + "\n" for sentence in sentences)
+
+
+def _run_golden_chain(tmp_path):
+    """count -> embed -> postproc -> probe -> export on the synth corpus."""
+    from bitcipher.synth import generate_tagged_sentences
+    corpus = _synth_corpus(tmp_path)
+    splits = {}
+    for seed, split in enumerate(("train", "dev", "test"), start=4):
+        splits[split] = tmp_path / f"{split}.conll"
+        splits[split].write_text(
+            _conll_text(generate_tagged_sentences(300, seed=seed)),
+            encoding="utf-8")
+    freq, emb = tmp_path / "freq.tsv", tmp_path / "emb.txt"
+    post, metrics = tmp_path / "post.bin", tmp_path / "metrics.json"
+    text = tmp_path / "post.txt"
+    for argv in (
+        ["count", str(corpus), "--out", str(freq)],
+        ["embed", str(corpus), "--freq", str(freq), "--out", str(emb),
+         "--bits", "8", "--radius", "2"],
+        ["postproc", str(emb), "--out", str(post), "--format", "binary"],
+        ["probe", str(post), "--train", str(splits["train"]),
+         "--dev", str(splits["dev"]), "--test", str(splits["test"]),
+         "--metrics-out", str(metrics), "--epochs", "3", "--hidden", "8",
+         "--seed", "1"],
+        ["export", str(post), "--out", str(text), "--format", "text"],
+    ):
+        assert main(argv) == 0
+    return {"count": freq, "postproc": post, "probe": metrics,
+            "export": text}
+
+
+def _manifest_digests(manifest):
+    """A manifest without its paths: each input and output as its digest."""
+    return {**manifest,
+            "inputs": {k: v["sha256"] for k, v in manifest["inputs"].items()},
+            "outputs": {k: v["sha256"]
+                        for k, v in manifest["outputs"].items()}}
+
+
+# The other commands' manifests on the same corpus: command, version,
+# config and every input and output digest. A change here changes the
+# manifest bytes.
+_DIGEST_POST = "dd31d8f1d88377d69256b2d3df627e10ac008f213a11eb803622e0fb91848623"
+GOLDEN_CHAIN = {
+    "count": {
+        "command": "count", "version": "0.1.0",
+        "config": {"threads": 1, "tokenizer": _GOLDEN_TOKENIZER},
+        "inputs": {"corpus": GOLDEN_CORPUS_SHA256},
+        "outputs": {"frequencies": "662994b018f9eadb1b0baa3ecb45a02c"
+                                   "3fb03af19b4dbe07fd86ea2183587e5c"}},
+    "postproc": {
+        "command": "postproc", "version": "0.1.0",
+        "config": {"epsilon": 1e-05, "format": "binary", "row_mean": False},
+        "inputs": {"embeddings": "be672061e1e5a1eb14ccbc256d0876f6"
+                                 "809f7908edb0368203d8d1fbf52b2567"},
+        "outputs": {"embeddings": _DIGEST_POST,
+                    "report": "0ae75f1de7b9072f3bbd52f2ccf1f450"
+                              "8a5fdfe52965655015e0b33af36761df"}},
+    "probe": {
+        "command": "probe", "version": "0.1.0",
+        "config": {"hyperparams": {"batch_size": 128, "dropout": 0.5,
+                                   "epochs": 3, "hidden": 8,
+                                   "leaky_slope": 0.01,
+                                   "learning_rate": 0.01, "momentum": 0.9,
+                                   "patience": 5, "seed": 1},
+                   "label_column": -1, "token_column": 0},
+        "inputs": {"dev": "90cab9f04e8adf26392007ca8083af08"
+                          "81bae562c2f0b8f15c40153eb7104fdf",
+                   "embeddings": _DIGEST_POST,
+                   "test": "1c049cf57fb6d8f7d009a9e9f3949a14"
+                           "2ba4ef816be774904fecdeb81fcb605c",
+                   "train": "5c73ab9974d7cfe54fc3a714b429120f"
+                            "a445ec26e69168d9ea2a81db7e2affea"},
+        "outputs": {"metrics": "f21601fde62516a2d13b116fe583ae67"
+                               "5adc5a8920433c3990f46d66b5dc3901"}},
+    "export": {
+        "command": "export", "version": "0.1.0",
+        "config": {"format": "text"},
+        "inputs": {"embeddings": _DIGEST_POST},
+        "outputs": {"embeddings": "f6856274e78a6b083203f7d1e3ca2832"
+                                  "c069b60a5f0d65a181d1161a59d28752"}},
+}
+
+
+def test_chain_manifests_match_golden(tmp_path):
+    artifacts = _run_golden_chain(tmp_path)
+    for command, artifact in artifacts.items():
+        manifest = json.loads(
+            Path(str(artifact) + ".manifest.json").read_text())
+        assert _manifest_digests(manifest) == GOLDEN_CHAIN[command], command

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from bitcipher.cipher import build_cipher, build_noise_model, noisy_vectors
+from bitcipher.cipher import build_cipher, build_noise_model
 from bitcipher.cooc import (ContextConfig, CoocCounts, accumulate_cooccurrence,
                             aggregate, embed_corpus)
 from bitcipher.corpus import (build_vocabulary, count_frequencies,
@@ -18,8 +18,8 @@ def _setup(text, bits, noise_mode="unigram", max_vocab=None):
     table = count_frequencies(stream_documents(text))
     vocab = build_vocabulary(table, bits, max_vocab=max_vocab)
     pair = build_cipher(vocab.size, bits)
-    noise = build_noise_model(table, vocab, pair, noise_mode)
-    return table, vocab, pair, noise
+    nu = build_noise_model(table, vocab, pair, noise_mode)
+    return table, vocab, pair, nu
 
 
 def _cells(counts):
@@ -157,8 +157,7 @@ def test_oov_neighbors_use_oov_row():
 
 def test_aggregate_single_count_identity():
     text = b"a b\n"
-    _, vocab, pair, noise = _setup(text, 4)
-    nu = noisy_vectors(pair, noise)
+    _, vocab, pair, nu = _setup(text, 4)
     a, b = vocab.row_for("a"), vocab.row_for("b")
     n = vocab.size + 1
     counts = CoocCounts("sum", 1, n, np.array([a * n + b]), np.array([1]))
@@ -168,8 +167,7 @@ def test_aggregate_single_count_identity():
 
 def test_aggregate_log_weight_of_e_minus_one_is_unit():
     text = b"a b\n"
-    _, vocab, pair, noise = _setup(text, 4)
-    nu = noisy_vectors(pair, noise)
+    _, vocab, pair, nu = _setup(text, 4)
     a, b = vocab.row_for("a"), vocab.row_for("b")
     n = vocab.size + 1
     counts = CoocCounts("sum", 1, n, np.array([a * n + b]),
@@ -182,23 +180,21 @@ def test_aggregate_log_weight_of_e_minus_one_is_unit():
 def test_self_cooccurrence_of_repeated_token():
     # second document only exists so the noise model has two vocab tokens
     text = b"x x x x\ny\n"
-    _, vocab, pair, noise = _setup(text, 3)
-    nu = noisy_vectors(pair, noise)
+    _, vocab, pair, nu = _setup(text, 3)
     x = vocab.row_for("x")
     config = ContextConfig(radius=1, mode="sum")
-    out = embed_corpus(stream_documents(text), vocab, pair, noise, config)
+    out = embed_corpus(stream_documents(text), vocab, nu, config)
     # neighbors are the token itself: 6 windowed pairs in the first document
     assert np.allclose(out[x], 6 * nu[x], atol=1e-12)
 
 
 def test_include_center_adds_own_vector_once():
     text = b"a b\n"
-    _, vocab, pair, noise = _setup(text, 4)
-    nu = noisy_vectors(pair, noise)
+    _, vocab, pair, nu = _setup(text, 4)
     a = vocab.row_for("a")
-    base = embed_corpus(stream_documents(text), vocab, pair, noise,
+    base = embed_corpus(stream_documents(text), vocab, nu,
                         ContextConfig(radius=1, mode="sum"))
-    with_center = embed_corpus(stream_documents(text), vocab, pair, noise,
+    with_center = embed_corpus(stream_documents(text), vocab, nu,
                                ContextConfig(radius=1, mode="sum",
                                              include_center=True))
     assert np.allclose(with_center[a], base[a] + nu[a])
@@ -206,10 +202,10 @@ def test_include_center_adds_own_vector_once():
 
 def test_cat_ignores_include_center():
     text = b"a b c\n"
-    _, vocab, pair, noise = _setup(text, 4)
-    plain = embed_corpus(stream_documents(text), vocab, pair, noise,
+    _, vocab, pair, nu = _setup(text, 4)
+    plain = embed_corpus(stream_documents(text), vocab, nu,
                          ContextConfig(radius=2, mode="cat"))
-    flagged = embed_corpus(stream_documents(text), vocab, pair, noise,
+    flagged = embed_corpus(stream_documents(text), vocab, nu,
                            ContextConfig(radius=2, mode="cat",
                                          include_center=True))
     assert np.array_equal(plain, flagged)
@@ -220,10 +216,10 @@ def test_cat_ignores_include_center():
                                          (50, 1), (50, 2), (50, 4)])
 def test_dimension_law(bits, radius):
     text = b"a b c d e f g h\n"
-    _, vocab, pair, noise = _setup(text, bits)
-    sum_out = embed_corpus(stream_documents(text), vocab, pair, noise,
+    _, vocab, pair, nu = _setup(text, bits)
+    sum_out = embed_corpus(stream_documents(text), vocab, nu,
                            ContextConfig(radius=radius, mode="sum"))
-    cat_out = embed_corpus(stream_documents(text), vocab, pair, noise,
+    cat_out = embed_corpus(stream_documents(text), vocab, nu,
                            ContextConfig(radius=radius, mode="cat"))
     assert sum_out.shape[1] == bits
     assert cat_out.shape[1] == 2 * radius * bits
@@ -234,11 +230,11 @@ def test_dimension_law(bits, radius):
 def test_cat_slot_sum_equals_sum_row():
     rng = random.Random(9)
     text = _random_corpus(rng, 800)
-    _, vocab, pair, noise = _setup(text, 6)
+    _, vocab, pair, nu = _setup(text, 6)
     radius = 3
-    cat = embed_corpus(stream_documents(text), vocab, pair, noise,
+    cat = embed_corpus(stream_documents(text), vocab, nu,
                        ContextConfig(radius=radius, mode="cat"))
-    summed = embed_corpus(stream_documents(text), vocab, pair, noise,
+    summed = embed_corpus(stream_documents(text), vocab, nu,
                           ContextConfig(radius=radius, mode="sum"))
     bits = pair.bits
     folded = sum(cat[:, s * bits:(s + 1) * bits]
@@ -263,22 +259,21 @@ def test_offset_marginal_matches_sum_counts():
 def test_fused_equals_two_phase():
     rng = random.Random(21)
     text = _random_corpus(rng, 2000)
-    _, vocab, pair, noise = _setup(text, 6, noise_mode="df")
+    _, vocab, pair, nu = _setup(text, 6, noise_mode="df")
     config = ContextConfig(radius=4, mode="cat", log_weighting=True)
-    fused = embed_corpus(stream_documents(text), vocab, pair, noise, config)
+    fused = embed_corpus(stream_documents(text), vocab, nu, config)
     counts = accumulate_cooccurrence(stream_documents(text), vocab, config)
-    two_phase = aggregate(counts, noisy_vectors(pair, noise), config)
+    two_phase = aggregate(counts, nu, config)
     assert np.all(np.abs(fused - two_phase) < 1e-9)
 
 
 def test_fused_matches_independent_brute_force():
     rng = random.Random(2)
     text = _random_corpus(rng, 1500)
-    _, vocab, pair, noise = _setup(text, 6)
-    nu = noisy_vectors(pair, noise)
+    _, vocab, pair, nu = _setup(text, 6)
     for mode in ("sum", "cat"):
         config = ContextConfig(radius=4, mode=mode, log_weighting=True)
-        fused = embed_corpus(stream_documents(text), vocab, pair, noise, config)
+        fused = embed_corpus(stream_documents(text), vocab, nu, config)
         docs = [line.split() for line in text.decode().splitlines()]
         counts = _brute_force_counts(docs, vocab, config)
         expected = _brute_force_rows(counts, nu, config, vocab.size + 1)
@@ -288,10 +283,10 @@ def test_fused_matches_independent_brute_force():
 def test_rows_with_neighbors_are_nonzero():
     rng = random.Random(41)
     text = _random_corpus(rng, 500)
-    _, vocab, pair, noise = _setup(text, 6)
+    _, vocab, pair, nu = _setup(text, 6)
     config = ContextConfig(radius=2, mode="sum")
     counts = accumulate_cooccurrence(stream_documents(text), vocab, config)
-    out = embed_corpus(stream_documents(text), vocab, pair, noise, config)
+    out = embed_corpus(stream_documents(text), vocab, nu, config)
     centers_with_neighbors = {c for c, _ in _cells(counts)}
     for center in centers_with_neighbors:
         assert np.any(out[center] != 0.0)
@@ -299,9 +294,9 @@ def test_rows_with_neighbors_are_nonzero():
 
 def test_empty_corpus_gives_zero_matrix():
     text = b""
-    table, vocab, pair, noise = _setup(b"a b\n", 4)  # vocab from a real corpus
+    table, vocab, pair, nu = _setup(b"a b\n", 4)  # vocab from a real corpus
     config = ContextConfig(radius=2, mode="cat")
-    out = embed_corpus(stream_documents(text), vocab, pair, noise, config)
+    out = embed_corpus(stream_documents(text), vocab, nu, config)
     assert out.shape == (vocab.size + 1, 2 * 2 * 4)
     assert np.all(out == 0.0)
 
@@ -338,8 +333,7 @@ def test_monotone_growth_when_adding_documents():
 
 def test_aggregate_rejects_mismatched_config():
     text = b"a b\n"
-    _, vocab, pair, noise = _setup(text, 4)
-    nu = noisy_vectors(pair, noise)
+    _, vocab, pair, nu = _setup(text, 4)
     counts = accumulate_cooccurrence(stream_documents(text), vocab,
                                      ContextConfig(radius=1, mode="sum"))
     with pytest.raises(ValueError):
@@ -381,7 +375,7 @@ def test_embedding_bytes_match_golden_digest(config):
     vocab = build_vocabulary(table, 8, max_vocab=150)
     assert vocab.size < len(table.counts)  # some tokens land on the OOV row
     pair = build_cipher(vocab.size, 8)
-    noise = build_noise_model(table, vocab, pair, "df")
-    rows = embed_corpus(stream_documents(text), vocab, pair, noise, config)
+    nu = build_noise_model(table, vocab, pair, "df")
+    rows = embed_corpus(stream_documents(text), vocab, nu, config)
     assert hashlib.sha256(rows.tobytes()).hexdigest() == \
         GOLDEN_ROWS_SHA256[config.mode]

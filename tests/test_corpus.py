@@ -294,8 +294,14 @@ def test_counting_deterministic(write_corpus):
     ("#M=5 D=2\na\t3\t1\nb\t1\t1\na\t1\t1\n", 4,
      "token 'a' repeats an earlier row"),
     ("#M=5 D=2\na\tx\t1\n", 2, "malformed row"),
+    ("#M=5 D=2\na\t3\t1\ntok\t0\t0\n", 3,
+     "counts f=0 d=0 break 1 <= d <= f <= M=5"),
+    ("#M=5 D=2\ntok\t-1\t1\n", 2, "counts f=-1 d=1 break"),
+    ("#M=5 D=2\ntok\t2\t3\n", 2, "counts f=2 d=3 break"),
+    ("#M=5 D=2\ntok\t6\t1\n", 2, "counts f=6 d=1 break"),
 ], ids=["no_d", "non_integer", "negative", "no_hash", "empty",
-        "repeated_token", "bad_row"])
+        "repeated_token", "bad_row", "zero_counts", "negative_f",
+        "d_above_f", "f_above_m"])
 def test_read_frequency_table_names_path_and_line(tmp_path, text, line,
                                                   message):
     path = tmp_path / "freq.tsv"

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from bitcipher.corpus import Vocabulary
 from bitcipher.probe import (LabeledTokenDataset, ProbeHyperparams,
                              ProbeModel, evaluate_probe, load_conll,
-                             train_probe, write_conll)
+                             train_probe)
 
 CONLL_SAMPLE = """\
 -DOCSTART- -X- -X- O
@@ -74,17 +74,6 @@ def test_load_conll_ragged_row_reports_line(tmp_path):
     path.write_text("a X\nb Y\nc\n")
     with pytest.raises(ValueError, match=":3"):
         load_conll(path)
-
-
-def test_conll_round_trip(tmp_path):
-    path = tmp_path / "sample.conll"
-    path.write_text(CONLL_SAMPLE)
-    ds = load_conll(path)
-    out = tmp_path / "copy.conll"
-    write_conll(ds, out)
-    back = load_conll(out)
-    assert back.sequences == ds.sequences
-    assert back.label_set == ds.label_set
 
 
 # ---------------------------------------------------------------------------
