@@ -16,9 +16,9 @@ from .cooc import (ContextConfig, CoocCounts, accumulate_cooccurrence,
                    aggregate, embed_corpus)
 from .corpus import (EncodingError, FrequencyTable, TokenizerConfig,
                      Vocabulary, build_vocabulary, count_corpus,
-                     count_frequencies, merge_frequency_tables,
-                     rank_tokens, read_frequency_table, stream_documents,
-                     stream_tokens, tokenize_line, write_frequency_table)
+                     count_frequencies, rank_tokens, read_frequency_table,
+                     stream_documents, stream_tokens, tokenize_line,
+                     write_frequency_table)
 from .embedio import (OOV_TOKEN, escape_token, read_embeddings,
                       read_embeddings_binary, read_embeddings_text,
                       row_tokens, unescape_token, vocabulary_from_tokens,
@@ -37,10 +37,9 @@ __all__ = [
     "ContextConfig", "CoocCounts", "accumulate_cooccurrence", "aggregate",
     "embed_corpus",
     "EncodingError", "FrequencyTable", "TokenizerConfig", "Vocabulary",
-    "build_vocabulary", "count_corpus", "count_frequencies",
-    "merge_frequency_tables", "rank_tokens", "read_frequency_table",
-    "stream_documents", "stream_tokens", "tokenize_line",
-    "write_frequency_table",
+    "build_vocabulary", "count_corpus", "count_frequencies", "rank_tokens",
+    "read_frequency_table", "stream_documents", "stream_tokens",
+    "tokenize_line", "write_frequency_table",
     "OOV_TOKEN", "escape_token", "read_embeddings", "read_embeddings_binary",
     "read_embeddings_text", "row_tokens", "unescape_token",
     "vocabulary_from_tokens", "write_embeddings_binary",

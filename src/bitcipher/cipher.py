@@ -91,6 +91,13 @@ def _walk_bit_patterns(n_vectors: int, bits: int) -> list[int]:
     return rows
 
 
+def _unpack_bit_rows(packed: bytes, n: int, bits: int) -> np.ndarray:
+    """Unpack n rows of ceil(bits / 8) bytes, 8 bits per byte in little bit
+    order, into an n x bits array of 0s and 1s."""
+    rows = np.frombuffer(packed, dtype=np.uint8).reshape(n, (bits + 7) // 8)
+    return np.unpackbits(rows, axis=1, bitorder="little")[:, :bits]
+
+
 def build_cipher(n_vectors: int, bits: int) -> CipherPair:
     """Construct the cipher for ``n_vectors`` ranks in ``bits`` dimensions.
 
@@ -108,13 +115,10 @@ def build_cipher(n_vectors: int, bits: int) -> CipherPair:
             f"{n_vectors} vectors requested but only {capacity} distinct "
             f"nonzero {bits}-bit patterns exist"
         )
-    patterns = _walk_bit_patterns(n_vectors, bits)
-    bit_rows = np.zeros((n_vectors, bits), dtype=np.uint8)
-    for row, mask in enumerate(patterns):
-        while mask:
-            low = mask & -mask
-            bit_rows[row, low.bit_length() - 1] = 1
-            mask ^= low
+    row_bytes = (bits + 7) // 8
+    packed = b"".join(mask.to_bytes(row_bytes, "little")
+                      for mask in _walk_bit_patterns(n_vectors, bits))
+    bit_rows = _unpack_bit_rows(packed, n_vectors, bits)
     weights = bit_rows.sum(axis=1, dtype=np.float64)
     plain_rows = bit_rows / weights[:, None]
     return CipherPair(bit_rows, plain_rows, bits)
@@ -221,10 +225,8 @@ def load_cipher(path) -> tuple[CipherPair, str]:
     if version != CIPHER_VERSION:
         raise ValueError(f"{path}: unsupported version {version}")
     mode = str(reader.take(mode_len, "mode tag"), "utf-8")
-    row_bytes = (bits + 7) // 8
-    packed = np.frombuffer(reader.take(n * row_bytes, "bit rows"),
-                           dtype=np.uint8).reshape(n, row_bytes)
-    bit_rows = np.unpackbits(packed, axis=1, bitorder="little")[:, :bits]
+    packed = reader.take(n * ((bits + 7) // 8), "bit rows")
+    bit_rows = _unpack_bit_rows(packed, n, bits)
     plain = np.frombuffer(reader.take(n * bits * 4, "plain rows"), dtype="<f4")
     plain_rows = plain.reshape(n, bits).astype(np.float64)
     reader.finish()

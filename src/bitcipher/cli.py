@@ -75,7 +75,7 @@ def cmd_count(args) -> int:
     inputs, outputs = {"corpus": args.corpus}, {"frequencies": args.out}
     _check_paths(inputs, outputs, args.out)
     config = _tokenizer_config(args)
-    table = count_corpus(args.corpus, config, workers=args.threads)
+    table = count_corpus(args.corpus, config)
     write_frequency_table(table, args.out)
     write_manifest(args.out, "count",
                    {"tokenizer": asdict(config), "threads": args.threads},
@@ -219,7 +219,9 @@ def build_parser() -> argparse.ArgumentParser:
     count.add_argument("corpus", help="plain-text or gzip corpus file")
     count.add_argument("--out", required=True, help="frequency table path")
     count.add_argument("--threads", type=_positive_int, default=1,
-                       help="worker processes for counting (default: 1)")
+                       help="accepted and ignored: counting runs in one "
+                            "process; kept for bitbench's zipf-cat chain, "
+                            "which passes --threads 2 (default: 1)")
     _add_tokenizer_flags(count)
     count.set_defaults(func=cmd_count)
 

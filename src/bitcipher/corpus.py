@@ -5,8 +5,8 @@ from __future__ import annotations
 import gzip
 import io
 import re
+import zlib
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator
@@ -16,9 +16,6 @@ GZIP_MAGIC = b"\x1f\x8b"
 # A maximal alphanumeric run, or a maximal run of the other non-space
 # characters: ``\w`` is ``isalnum()`` plus "_", ``\s`` is ``isspace()``.
 _TOKEN = re.compile(r"[^\W_]+|(?:[^\w\s]|_)+")
-
-# Lines per shard when counting with multiple workers.
-PARALLEL_CHUNK_LINES = 200_000
 
 
 class EncodingError(ValueError):
@@ -76,21 +73,19 @@ def _binary_stream(source) -> tuple[BinaryIO, bool]:
     return source, False
 
 
-def stream_documents(
-    source,
-    config: TokenizerConfig = TokenizerConfig(),
-    base_offset: int = 0,
-) -> Iterator[list[str]]:
+def stream_documents(source, config: TokenizerConfig = TokenizerConfig()
+                     ) -> Iterator[list[str]]:
     """Yield the tokens of each document in corpus order.
 
     ``source`` may be a path, raw bytes, or a binary file object. With
     line-bounded documents every line is a document, an empty one included;
     with blank-line-bounded documents only blocks holding tokens are
-    yielded. Invalid UTF-8 raises :class:`EncodingError` with the absolute
-    byte offset (``base_offset`` shifts offsets for shard readers).
+    yielded. Invalid UTF-8 raises :class:`EncodingError` with the byte
+    offset; truncated or corrupt gzip raises ``ValueError`` naming the
+    source and the decompressed byte offset.
     """
     stream, owned = _binary_stream(source)
-    offset = base_offset
+    offset = 0
     block: list[str] = []
     try:
         for raw in stream:
@@ -108,6 +103,9 @@ def stream_documents(
                 block = []
         if block:
             yield block
+    except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
+        raise ValueError(f"{source}: corrupt gzip data after decompressed "
+                         f"byte offset {offset}: {exc}") from exc
     finally:
         if owned:
             stream.close()
@@ -151,58 +149,14 @@ def count_frequencies(documents: Iterable[list[str]]) -> FrequencyTable:
     return FrequencyTable(counts, freqs.total(), docs)
 
 
-def merge_frequency_tables(tables: Iterable[FrequencyTable]) -> FrequencyTable:
-    """Merge shard tables counted over disjoint document sets."""
-    counts: dict[str, tuple[int, int]] = {}
-    total_tokens = 0
-    total_documents = 0
-    for table in tables:
-        total_tokens += table.total_tokens
-        total_documents += table.total_documents
-        for token, (f, d) in table.counts.items():
-            if token in counts:
-                f0, d0 = counts[token]
-                counts[token] = (f0 + f, d0 + d)
-            else:
-                counts[token] = (f, d)
-    return FrequencyTable(counts, total_tokens, total_documents)
-
-
-def _count_chunk(lines: bytes, base_offset: int,
-                 config: TokenizerConfig) -> FrequencyTable:
-    return count_frequencies(stream_documents(lines, config, base_offset))
-
-
 def count_corpus(path: str | Path, config: TokenizerConfig = TokenizerConfig(),
                  workers: int = 1) -> FrequencyTable:
-    """Count one corpus file, optionally sharding by line blocks.
+    """Count one corpus file in a single sequential pass.
 
-    The merged multi-worker result is exactly equal to the sequential one;
-    sharding requires line-bounded documents, so blank-line mode always runs
-    sequentially.
+    ``workers`` is accepted and ignored, because ``run_layers`` in
+    ``bitbench/tracer.py`` still calls ``count_corpus(corpus, workers=1)``.
     """
-    if workers <= 1 or config.doc_boundary != "line":
-        return count_frequencies(stream_documents(path, config))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = []
-        base_offset = 0
-        stream = open_corpus(path)
-        try:
-            while True:
-                chunk: list[bytes] = []
-                for raw in stream:
-                    chunk.append(raw)
-                    if len(chunk) >= PARALLEL_CHUNK_LINES:
-                        break
-                if not chunk:
-                    break
-                blob = b"".join(chunk)
-                futures.append(pool.submit(_count_chunk, blob, base_offset, config))
-                base_offset += len(blob)
-        finally:
-            stream.close()
-        tables = [f.result() for f in futures]
-    return merge_frequency_tables(tables)
+    return count_frequencies(stream_documents(path, config))
 
 
 @dataclass(frozen=True)

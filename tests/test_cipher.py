@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from bitcipher.cipher import (CapacityError, build_cipher,
+from bitcipher.cipher import (CapacityError, _walk_bit_patterns, build_cipher,
                               build_noise_model, cipher_capacity,
                               compute_beta, compute_sigma, load_cipher,
                               noisy_vectors, save_cipher)
@@ -69,6 +69,29 @@ def test_build_cipher_deterministic():
     b = build_cipher(100, 8)
     assert np.array_equal(a.bit_rows, b.bit_rows)
     assert np.array_equal(a.plain_rows, b.plain_rows)
+
+
+def _bit_rows_by_loop(n, bits):
+    """The per-row bit loop the vectorized unpack replaced, kept as the
+    reference."""
+    rows = np.zeros((n, bits), dtype=np.uint8)
+    for row, mask in enumerate(_walk_bit_patterns(n, bits)):
+        while mask:
+            low = mask & -mask
+            rows[row, low.bit_length() - 1] = 1
+            mask ^= low
+    return rows
+
+
+@pytest.mark.parametrize("n,bits", [(cipher_capacity(b), b)
+                                    for b in range(1, 13)] + [(1000, 70)])
+def test_bit_rows_match_per_row_loop(n, bits):
+    pair = build_cipher(n, bits)
+    expected = _bit_rows_by_loop(n, bits)
+    assert pair.bit_rows.dtype == expected.dtype
+    assert np.array_equal(pair.bit_rows, expected)
+    assert np.array_equal(pair.plain_rows,
+                          expected / expected.sum(axis=1)[:, None])
 
 
 def test_capacity_error_names_both_values():

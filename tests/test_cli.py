@@ -94,6 +94,66 @@ def test_count_gzip_equals_plain(tmp_path, corpus_file):
     assert plain_out.read_bytes() == gzip_out.read_bytes()
 
 
+def test_count_threads_is_accepted_and_ignored(tmp_path, corpus_file):
+    zipped = tmp_path / "corpus.txt.gz"
+    zipped.write_bytes(gzip.compress(corpus_file.read_bytes()))
+    src = str(Path(bitcipher.__file__).resolve().parent.parent)
+    script = (
+        "import sys\n"
+        "from bitcipher.cli import main\n"
+        "for corpus in sys.argv[1:]:\n"
+        "    for threads in ('1', '2'):\n"
+        "        assert main(['count', corpus, '--out',\n"
+        "                     f'{corpus}.{threads}.tsv',\n"
+        "                     '--threads', threads]) == 0\n"
+        "print(sorted({'concurrent.futures.process', 'multiprocessing'}\n"
+        "             & set(sys.modules)))\n")
+    result = subprocess.run(
+        [sys.executable, "-c", script, str(corpus_file), str(zipped)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+        text=True, check=True)
+    # counting starts no process pool
+    assert result.stdout.splitlines()[-1] == "[]"
+    tables = {Path(f"{corpus}.{threads}.tsv").read_bytes()
+              for corpus in (corpus_file, zipped) for threads in "12"}
+    assert len(tables) == 1
+
+
+def _corrupt_gzip(data: bytes, case: str) -> bytes:
+    data = bytearray(data)
+    if case == "cut":
+        del data[len(data) // 2:]
+    elif case == "deflate_byte":
+        # The first deflate block header follows the 10-byte gzip header;
+        # flipping bit 1 turns a dynamic-Huffman block (type 10) into the
+        # reserved type 11.
+        data[10] ^= 0b010
+    else:
+        data[2] = 7  # compression method: only 8 (deflate) exists
+    return bytes(data)
+
+
+@pytest.mark.parametrize("command", ["count", "embed"])
+@pytest.mark.parametrize("case", ["cut", "deflate_byte", "method_byte"])
+def test_corrupt_gzip_corpus_exits_2(tmp_path, capsys, command, case):
+    plain = tmp_path / "corpus.txt"
+    plain.write_text(CORPUS * 50)
+    freq = tmp_path / "freq.tsv"
+    assert main(["count", str(plain), "--out", str(freq)]) == 0
+    bad = tmp_path / "corpus.txt.gz"
+    bad.write_bytes(_corrupt_gzip(gzip.compress(plain.read_bytes()), case))
+    out = tmp_path / "out"
+    argv = {"count": ["count", str(bad), "--out", str(out)],
+            "embed": ["embed", str(bad), "--freq", str(freq),
+                      "--out", str(out), "--bits", "6"]}[command]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"{bad}: corrupt gzip data after decompressed byte offset " in err
+    assert not out.exists()
+    assert not Path(str(out) + ".manifest.json").exists()
+
+
 def _run_embed(tmp_path, corpus_file, name="emb.txt", *extra):
     freq = tmp_path / "freq.tsv"
     if not freq.exists():

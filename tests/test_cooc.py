@@ -256,22 +256,16 @@ def test_offset_marginal_matches_sum_counts():
     assert marginal == _cells(summed)
 
 
-def test_fused_equals_two_phase():
-    rng = random.Random(21)
-    text = _random_corpus(rng, 2000)
-    _, vocab, pair, nu = _setup(text, 6, noise_mode="df")
-    config = ContextConfig(radius=4, mode="cat", log_weighting=True)
-    fused = embed_corpus(stream_documents(text), vocab, nu, config)
-    counts = accumulate_cooccurrence(stream_documents(text), vocab, config)
-    two_phase = aggregate(counts, nu, config)
-    assert np.all(np.abs(fused - two_phase) < 1e-9)
-
-
-def test_fused_matches_independent_brute_force():
-    rng = random.Random(2)
-    text = _random_corpus(rng, 1500)
-    _, vocab, pair, nu = _setup(text, 6)
-    for mode in ("sum", "cat"):
+@pytest.mark.parametrize("seed,tokens,noise_mode,modes", [
+    (2, 1500, "unigram", ("sum", "cat")),
+    (21, 2000, "df", ("cat",)),
+], ids=["unigram", "df"])
+def test_fused_matches_independent_brute_force(seed, tokens, noise_mode,
+                                               modes):
+    rng = random.Random(seed)
+    text = _random_corpus(rng, tokens)
+    _, vocab, pair, nu = _setup(text, 6, noise_mode=noise_mode)
+    for mode in modes:
         config = ContextConfig(radius=4, mode=mode, log_weighting=True)
         fused = embed_corpus(stream_documents(text), vocab, nu, config)
         docs = [line.split() for line in text.decode().splitlines()]

@@ -8,8 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bitcipher.corpus import (EncodingError, FrequencyTable, TokenizerConfig,
-                              build_vocabulary, count_corpus,
-                              count_frequencies, merge_frequency_tables,
+                              build_vocabulary, count_frequencies,
                               read_frequency_table, stream_documents,
                               stream_tokens, tokenize_line,
                               write_frequency_table)
@@ -115,9 +114,6 @@ def test_stream_invalid_utf8_reports_offset():
         list(stream_tokens(b"ok\n\xffbad\n"))
     assert err.value.offset == 3
     assert "byte offset 3" in str(err.value)
-    with pytest.raises(EncodingError) as err:
-        list(stream_documents(b"ok\n\xffbad\n", base_offset=100))
-    assert err.value.offset == 103
 
 
 def test_stream_gzip_transparent(tmp_path):
@@ -187,37 +183,6 @@ def test_count_matches_brute_force_recount(write_corpus):
     assert table.total_documents == n_docs
     assert {t: fc for t, (fc, _) in table.counts.items()} == dict(f)
     assert {t: dc for t, (_, dc) in table.counts.items()} == d
-
-
-@given(st.lists(st.lists(st.sampled_from("abcde"), max_size=6), max_size=12),
-       st.integers(0, 11))
-def test_shard_merge_equals_single_pass(docs, cut):
-    whole = count_frequencies(docs)
-    first, second = docs[:cut], docs[cut:]
-    merged = merge_frequency_tables([count_frequencies(first),
-                                     count_frequencies(second)])
-    assert merged == whole
-
-
-def test_parallel_counting_matches_sequential(tmp_path, write_corpus):
-    rng = random.Random(3)
-    words = ["aa", "bb", "cc", "dd", "ee"]
-    text = "\n".join(" ".join(rng.choice(words) for _ in range(8))
-                     for _ in range(500)) + "\n"
-    path = write_corpus(text)
-    seq = count_corpus(path, workers=1)
-    import bitcipher.corpus as corpus_mod
-    old = corpus_mod.PARALLEL_CHUNK_LINES
-    corpus_mod.PARALLEL_CHUNK_LINES = 97
-    try:
-        par = count_corpus(path, workers=2)
-    finally:
-        corpus_mod.PARALLEL_CHUNK_LINES = old
-    seq_file = tmp_path / "seq.tsv"
-    par_file = tmp_path / "par.tsv"
-    write_frequency_table(seq, seq_file)
-    write_frequency_table(par, par_file)
-    assert seq_file.read_bytes() == par_file.read_bytes()
 
 
 def test_vocabulary_tie_break_lexicographic():
