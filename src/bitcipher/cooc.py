@@ -11,6 +11,8 @@ import numpy as np
 
 from .corpus import Vocabulary
 
+BLOCK = 1 << 16  # sorted keys per ``aggregate`` step
+
 
 @dataclass(frozen=True)
 class ContextConfig:
@@ -48,10 +50,11 @@ class ContextConfig:
 class CoocCounts:
     """Window counts as parallel arrays sorted by key.
 
-    With ``n = n_rows`` (vocab + OOV), a sum key is ``center*n + context``
-    and a cat key is ``(slot*n + center)*n + context``, where ``slot``
-    indexes ``ContextConfig.offsets()``. ``counts[i]`` is the positive
-    count of ``keys[i]``.
+    With ``n = n_rows`` (vocab + OOV) and ``S`` slots per row (1 for sum,
+    ``2*radius`` for cat), a key is ``(center*S + slot)*n + context``, where
+    ``slot`` indexes ``ContextConfig.offsets()`` (always 0 for sum). So
+    ``key // n`` is the row of the output seen as ``(n*S, bits)``. Keys are
+    unique, and ``counts[i]`` is the positive count of ``keys[i]``.
     """
 
     mode: str
@@ -75,24 +78,18 @@ def _row_ids(documents: Iterable[list[str]],
 
 def _offset_counts(ids: np.ndarray, docs: np.ndarray, n: int,
                    config: ContextConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Each offset's sorted (key, count) arrays, concatenated in slot order."""
-    radius = config.radius
-    parts = []
+    """Each offset's sorted (key, count) arrays, concatenated."""
+    radius, slots = config.radius, config.output_dim(1)
+    parts = [(np.empty(0, dtype=np.int64),) * 2]
     for k in range(1, min(radius, len(ids) - 1) + 1):
         same = docs[:-k] == docs[k:]
-        # offset -k is slot radius-k, offset +k is slot radius+k-1
+        # offset -k is slot radius-k, +k is slot radius+k-1 (sum: always 0)
         for slot, center, context in ((radius - k, ids[k:], ids[:-k]),
                                       (radius + k - 1, ids[:-k], ids[k:])):
-            keys = center * n
-            keys += context
-            keys = keys[same]
-            if config.mode == "cat":
-                keys += slot * n * n
-            parts.append((slot, *np.unique(keys, return_counts=True)))
-    parts.sort(key=lambda part: part[0])
-    empty = [np.empty(0, dtype=np.int64)]
-    return (np.concatenate(empty + [keys for _, keys, _ in parts]),
-            np.concatenate(empty + [counts for _, _, counts in parts]))
+            keys = (center * slots + slot % slots) * n + context
+            parts.append(np.unique(keys[same], return_counts=True))
+    return (np.concatenate([keys for keys, _ in parts]),
+            np.concatenate([counts for _, counts in parts]))
 
 
 def accumulate_cooccurrence(documents: Iterable[list[str]], vocab: Vocabulary,
@@ -108,11 +105,18 @@ def accumulate_cooccurrence(documents: Iterable[list[str]], vocab: Vocabulary,
         raise ValueError(f"radius {config.radius} over {n} rows overflows "
                          f"the int64 co-occurrence key space")
     keys, counts = _offset_counts(*_row_ids(documents, vocab), n, config)
-    if config.mode == "sum":
-        # the same (center, context) cell occurs under several offsets
-        keys, inverse = np.unique(keys, return_inverse=True)
-        counts = np.bincount(inverse, weights=counts).astype(np.int64)
-    return CoocCounts(config.mode, config.radius, n, keys, counts)
+    # Merge the sorted runs (timsort finds them) and add a cell's counts over
+    # sum offsets, compacting in place so freed temporaries go back to the OS.
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    counts = counts[order]
+    del order
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    cells = len(starts)
+    keys[:cells] = keys[starts]
+    counts[:cells] = np.add.reduceat(counts, starts)
+    return CoocCounts(config.mode, config.radius, n, keys[:cells],
+                      counts[:cells])
 
 
 def aggregate(counts: CoocCounts, nu: np.ndarray,
@@ -127,26 +131,21 @@ def aggregate(counts: CoocCounts, nu: np.ndarray,
     if counts.n_rows != n_rows:
         raise ValueError(f"counts cover {counts.n_rows} rows but noisy "
                          f"embedding has {n_rows}")
-    slots = 1 if config.mode == "sum" else 2 * config.radius
-    out = np.zeros((n_rows, slots, bits))
-    weights = counts.counts.astype(np.float64)
-    if config.log_weighting:
-        weights = np.log1p(weights)
-    slot_size = n_rows * n_rows
-    bounds = np.searchsorted(counts.keys,
-                             np.arange(slots + 1, dtype=np.int64) * slot_size)
-    for s in range(slots):
-        lo, hi = bounds[s], bounds[s + 1]
-        center, context = np.divmod(counts.keys[lo:hi] - s * slot_size, n_rows)
-        # Keys ascend, so each center adds its contexts in ascending row
-        # order: the summation order of a canonical CSR product, which the
-        # artifact digests depend on bit for bit.
+    slots = config.output_dim(1)
+    out = np.zeros((n_rows * slots, bits))
+    # Keys ascend, so each (center, slot) row adds its contexts in ascending
+    # order, across blocks too: a canonical CSR product's, which digests pin.
+    for lo in range(0, len(counts.keys), BLOCK):
+        row, context = np.divmod(counts.keys[lo:lo + BLOCK], n_rows)
+        weights = counts.counts[lo:lo + BLOCK].astype(np.float64)
+        if config.log_weighting:
+            weights = np.log1p(weights)
         contexts = nu[context]
-        contexts *= weights[lo:hi, None]
-        np.add.at(out[:, s], center, contexts)
+        contexts *= weights[:, None]
+        np.add.at(out, row, contexts)
     if config.include_center and config.mode == "sum":
         centers = np.unique(counts.keys // n_rows)
-        out[centers, 0] += nu[centers]
+        out[centers] += nu[centers]
     return out.reshape(n_rows, slots * bits)
 
 

@@ -19,11 +19,12 @@ _TOKEN = re.compile(r"[^\W_]+|(?:[^\w\s]|_)+")
 
 
 class EncodingError(ValueError):
-    """Corpus bytes are not valid UTF-8."""
+    """Corpus bytes are not valid UTF-8; the message names a path source."""
 
-    def __init__(self, offset: int):
+    def __init__(self, offset: int, source=None):
         self.offset = offset
-        super().__init__(f"invalid UTF-8 at byte offset {offset}")
+        where = f"{source}: " if isinstance(source, (str, Path)) else ""
+        super().__init__(f"{where}invalid UTF-8 at byte offset {offset}")
 
 
 @dataclass(frozen=True)
@@ -80,9 +81,9 @@ def stream_documents(source, config: TokenizerConfig = TokenizerConfig()
     ``source`` may be a path, raw bytes, or a binary file object. With
     line-bounded documents every line is a document, an empty one included;
     with blank-line-bounded documents only blocks holding tokens are
-    yielded. Invalid UTF-8 raises :class:`EncodingError` with the byte
-    offset; truncated or corrupt gzip raises ``ValueError`` naming the
-    source and the decompressed byte offset.
+    yielded. Invalid UTF-8 raises :class:`EncodingError`, and truncated or
+    corrupt gzip a ``ValueError``; both name a path ``source`` and give the
+    byte offset (decompressed, for gzip).
     """
     stream, owned = _binary_stream(source)
     offset = 0
@@ -92,7 +93,7 @@ def stream_documents(source, config: TokenizerConfig = TokenizerConfig()
             try:
                 text = raw.decode("utf-8")
             except UnicodeDecodeError as exc:
-                raise EncodingError(offset + exc.start) from exc
+                raise EncodingError(offset + exc.start, source) from exc
             offset += len(raw)
             if config.doc_boundary == "line":
                 yield tokenize_line(text, config)

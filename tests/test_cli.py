@@ -154,6 +154,23 @@ def test_corrupt_gzip_corpus_exits_2(tmp_path, capsys, command, case):
     assert not Path(str(out) + ".manifest.json").exists()
 
 
+@pytest.mark.parametrize("command", ["count", "embed"])
+def test_invalid_utf8_corpus_exits_2_naming_file(tmp_path, capsys, command):
+    freq = tmp_path / "freq.tsv"
+    freq.write_text("#M=2 D=2\nok\t1\t1\nbad\t1\t1\n")
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"ok\n\xffbad\n")
+    out = tmp_path / "out"
+    argv = {"count": ["count", str(bad), "--out", str(out)],
+            "embed": ["embed", str(bad), "--freq", str(freq),
+                      "--out", str(out), "--bits", "6"]}[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"{bad}: invalid UTF-8 at byte offset 3" in err
+    assert not out.exists()
+    assert not Path(str(out) + ".manifest.json").exists()
+
+
 def _run_embed(tmp_path, corpus_file, name="emb.txt", *extra):
     freq = tmp_path / "freq.tsv"
     if not freq.exists():

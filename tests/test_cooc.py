@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from bitcipher import cooc
 from bitcipher.cipher import build_cipher, build_noise_model
 from bitcipher.cooc import (ContextConfig, CoocCounts, accumulate_cooccurrence,
                             aggregate, embed_corpus)
@@ -30,7 +31,7 @@ def _cells(counts):
     for key, c in zip(counts.keys.tolist(), counts.counts.tolist()):
         rest, context = divmod(key, n)
         if counts.mode == "cat":
-            slot, center = divmod(rest, n)
+            center, slot = divmod(rest, 2 * counts.radius)
             cells[(center, offsets[slot], context)] = c
         else:
             cells[(rest, context)] = c
@@ -351,6 +352,14 @@ def test_key_space_overflow_is_rejected():
                                 ContextConfig(radius=2 ** 62, mode="cat"))
 
 
+def _golden_inputs():
+    text = sentences_to_text(generate_tagged_sentences(5_000, seed=3)).encode()
+    table = count_frequencies(stream_documents(text))
+    vocab = build_vocabulary(table, 8, max_vocab=150)
+    pair = build_cipher(vocab.size, 8)
+    return text, table, vocab, build_noise_model(table, vocab, pair, "df")
+
+
 # SHA-256 of embed_corpus(...).tobytes(), recorded with the scipy CSR
 # implementation; any change to summation order or weighting shows up here.
 GOLDEN_ROWS_SHA256 = {
@@ -364,12 +373,29 @@ GOLDEN_ROWS_SHA256 = {
     ContextConfig(radius=3, mode="cat", log_weighting=True),
 ], ids=["sum", "cat"])
 def test_embedding_bytes_match_golden_digest(config):
-    text = sentences_to_text(generate_tagged_sentences(5_000, seed=3)).encode()
-    table = count_frequencies(stream_documents(text))
-    vocab = build_vocabulary(table, 8, max_vocab=150)
+    text, table, vocab, nu = _golden_inputs()
     assert vocab.size < len(table.counts)  # some tokens land on the OOV row
-    pair = build_cipher(vocab.size, 8)
-    nu = build_noise_model(table, vocab, pair, "df")
     rows = embed_corpus(stream_documents(text), vocab, nu, config)
     assert hashlib.sha256(rows.tobytes()).hexdigest() == \
         GOLDEN_ROWS_SHA256[config.mode]
+
+
+@pytest.mark.parametrize("config", [
+    ContextConfig(radius=3, mode="sum", log_weighting=True, include_center=True),
+    ContextConfig(radius=3, mode="cat", log_weighting=True),
+    ContextConfig(radius=2, mode="cat", include_center=True),
+], ids=["golden-sum", "golden-cat", "cat-include-center"])
+def test_aggregate_blocks_split_rows_without_changing_bytes(monkeypatch,
+                                                            config):
+    # The default block holds every cell of these corpora; smaller blocks
+    # split rows' cells across block boundaries.
+    text, _, vocab, nu = _golden_inputs()
+    counts = accumulate_cooccurrence(stream_documents(text), vocab, config)
+    assert np.all(np.diff(counts.keys) > 0)
+    assert np.all(counts.counts >= 1)
+    assert len(counts.keys) > 4096
+    expected = aggregate(counts, nu, config).tobytes()
+    for block in (1, 3, 4096):
+        monkeypatch.setattr(cooc, "BLOCK", block)
+        assert embed_corpus(stream_documents(text), vocab, nu,
+                            config).tobytes() == expected
