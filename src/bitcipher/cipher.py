@@ -12,8 +12,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._lazy import np
 from .corpus import FrequencyTable, Vocabulary
 from .embedio import ByteReader
 

@@ -18,7 +18,7 @@ from .corpus import (TokenizerConfig, build_vocabulary, count_corpus,
                      write_frequency_table)
 from .embedio import (read_embeddings, row_tokens, vocabulary_from_tokens,
                       write_embeddings_binary, write_embeddings_text)
-from .manifest import manifest_path, write_json, write_manifest
+from .manifest import manifest_path, staged, write_json, write_manifest
 from .postprocess import DEFAULT_EPSILON, pipeline
 from .probe import ProbeHyperparams, evaluate_probe, load_conll, train_probe
 
@@ -76,7 +76,8 @@ def cmd_count(args) -> int:
     _check_paths(inputs, outputs, args.out)
     config = _tokenizer_config(args)
     table = count_corpus(args.corpus, config)
-    write_frequency_table(table, args.out)
+    with staged(outputs) as temp:
+        write_frequency_table(table, temp["frequencies"])
     write_manifest(args.out, "count",
                    {"tokenizer": asdict(config), "threads": args.threads},
                    inputs, outputs)
@@ -127,11 +128,13 @@ def cmd_embed(args) -> int:
                          f"belongs to another corpus or tokenizer")
     if args.postproc:
         rows, report = pipeline(rows, epsilon=args.epsilon)
-    _write_embeddings(rows, row_tokens(vocab), args.out, args.format)
-    if args.save_cipher:
-        save_cipher(pair, args.save_cipher, mode=args.dtype)
-    if args.postproc:
-        write_json(asdict(report), outputs["postproc_report"])
+    with staged(outputs) as temp:
+        _write_embeddings(rows, row_tokens(vocab), temp["embeddings"],
+                          args.format)
+        if args.save_cipher:
+            save_cipher(pair, temp["cipher"], mode=args.dtype)
+        if args.postproc:
+            write_json(asdict(report), temp["postproc_report"])
     write_manifest(args.out, "embed", {
         "bits": args.bits,
         "radius": args.radius,
@@ -157,8 +160,9 @@ def cmd_postproc(args) -> int:
     rows, tokens = read_embeddings(args.embeddings)
     refined, report = pipeline(rows, epsilon=args.epsilon,
                                row_mean=args.row_mean)
-    _write_embeddings(refined, tokens, args.out, args.format)
-    write_json(asdict(report), outputs["report"])
+    with staged(outputs) as temp:
+        _write_embeddings(refined, tokens, temp["embeddings"], args.format)
+        write_json(asdict(report), temp["report"])
     write_manifest(args.out, "postproc", {"epsilon": args.epsilon,
                                           "row_mean": args.row_mean,
                                           "format": args.format},
@@ -187,7 +191,8 @@ def cmd_probe(args) -> int:
     print(metrics.summary_line())
     payload = metrics.to_dict()
     payload["hyperparams"] = asdict(hp)
-    write_json(payload, args.metrics_out)
+    with staged(outputs) as temp:
+        write_json(payload, temp["metrics"])
     write_manifest(args.metrics_out, "probe",
                    {"hyperparams": asdict(hp),
                     "token_column": args.token_column,
@@ -199,7 +204,8 @@ def cmd_export(args) -> int:
     inputs, outputs = {"embeddings": args.embeddings}, {"embeddings": args.out}
     _check_paths(inputs, outputs, args.out)
     rows, tokens = read_embeddings(args.embeddings)
-    _write_embeddings(rows, tokens, args.out, args.format)
+    with staged(outputs) as temp:
+        _write_embeddings(rows, tokens, temp["embeddings"], args.format)
     write_manifest(args.out, "export", {"format": args.format},
                    inputs, outputs)
     print(f"exported {rows.shape[0]} x {rows.shape[1]} as {args.format} "

@@ -7,8 +7,7 @@ from dataclasses import dataclass
 from itertools import repeat
 from typing import Iterable
 
-import numpy as np
-
+from ._lazy import np
 from .corpus import Vocabulary
 
 BLOCK = 1 << 16  # sorted keys per ``aggregate`` step

@@ -13,8 +13,7 @@ import struct
 from pathlib import Path
 from typing import Sequence
 
-import numpy as np
-
+from ._lazy import np
 from .corpus import Vocabulary
 
 OOV_TOKEN = "<oov>"

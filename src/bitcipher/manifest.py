@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+from contextlib import contextmanager, suppress
 from pathlib import Path
 
 from . import __version__
@@ -30,6 +32,25 @@ def manifest_path(artifact_path: str | Path) -> Path:
     return Path(str(artifact_path) + ".manifest.json")
 
 
+@contextmanager
+def staged(paths: dict):
+    """Yield a temporary path beside each of ``paths`` (name -> path) for
+    the block to write, and move each onto its path once the block ends.
+    If the block raises, the temporary files are removed and no path is
+    touched, so a crash never leaves a half-written artifact."""
+    pid = os.getpid()
+    temps = {name: Path(path).with_name(f".{Path(path).name}.{pid}.tmp")
+             for name, path in paths.items()}
+    try:
+        yield temps
+        for name, temp in temps.items():
+            os.replace(temp, paths[name])
+    finally:
+        for temp in temps.values():
+            with suppress(FileNotFoundError):
+                os.unlink(temp)
+
+
 def write_json(obj, path: str | Path) -> None:
     """Write ``obj`` as sorted, indented JSON with a trailing newline."""
     with open(path, "w", encoding="utf-8", newline="\n") as out:
@@ -40,11 +61,13 @@ def write_json(obj, path: str | Path) -> None:
 def write_manifest(artifact: str | Path, command: str, config: dict,
                    inputs: dict, outputs: dict) -> None:
     """Write ``<artifact>.manifest.json``; ``inputs`` and ``outputs`` map
-    names to paths, each recorded with its SHA-256."""
+    names to paths, each recorded with its SHA-256. Write it after the
+    outputs it vouches for."""
     def files(paths):
         return {name: {"path": str(path), "sha256": sha256_file(path)}
                 for name, path in paths.items()}
 
-    write_json({"command": command, "version": __version__, "config": config,
-                "inputs": files(inputs), "outputs": files(outputs)},
-               manifest_path(artifact))
+    record = {"command": command, "version": __version__, "config": config,
+              "inputs": files(inputs), "outputs": files(outputs)}
+    with staged({"manifest": manifest_path(artifact)}) as temp:
+        write_json(record, temp["manifest"])

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
+from ._lazy import np
 
 # Eigenvalues at or below this are treated as zero-variance directions; they
 # cannot be rescaled to unit variance and get the epsilon-regularized scale.

@@ -40,6 +40,21 @@ def corpus_file(tmp_path):
     return path
 
 
+def _fresh_env():
+    """Environment for a fresh interpreter that imports this package."""
+    src = str(Path(bitcipher.__file__).resolve().parent.parent)
+    return dict(os.environ, PYTHONPATH=src)
+
+
+def _cli_subprocess(argv):
+    """Run the CLI in a fresh interpreter, where numpy is not yet loaded."""
+    result = subprocess.run(
+        [sys.executable, "-m", "bitcipher.cli", *map(str, argv)],
+        env=_fresh_env(), capture_output=True, text=True)
+    sys.stderr.write(result.stderr)
+    return result.returncode
+
+
 def _golden_frequency_file(text):
     """Independent golden producer: Counter-based, no package code."""
     freqs = Counter()
@@ -97,7 +112,6 @@ def test_count_gzip_equals_plain(tmp_path, corpus_file):
 def test_count_threads_is_accepted_and_ignored(tmp_path, corpus_file):
     zipped = tmp_path / "corpus.txt.gz"
     zipped.write_bytes(gzip.compress(corpus_file.read_bytes()))
-    src = str(Path(bitcipher.__file__).resolve().parent.parent)
     script = (
         "import sys\n"
         "from bitcipher.cli import main\n"
@@ -110,8 +124,7 @@ def test_count_threads_is_accepted_and_ignored(tmp_path, corpus_file):
         "             & set(sys.modules)))\n")
     result = subprocess.run(
         [sys.executable, "-c", script, str(corpus_file), str(zipped)],
-        env=dict(os.environ, PYTHONPATH=src), capture_output=True,
-        text=True, check=True)
+        env=_fresh_env(), capture_output=True, text=True, check=True)
     # counting starts no process pool
     assert result.stdout.splitlines()[-1] == "[]"
     tables = {Path(f"{corpus}.{threads}.tsv").read_bytes()
@@ -171,13 +184,67 @@ def test_invalid_utf8_corpus_exits_2_naming_file(tmp_path, capsys, command):
     assert not Path(str(out) + ".manifest.json").exists()
 
 
-def _run_embed(tmp_path, corpus_file, name="emb.txt", *extra):
+def _crashing_writer(path_arg):
+    """A writer that writes part of its artifact to positional argument
+    ``path_arg``, then fails as a full disk would."""
+    def write(*args, **kwargs):
+        with open(args[path_arg], "wb") as out:
+            out.write(b"partial")
+        raise OSError(28, "No space left on device")
+    return write
+
+
+# command -> (writer that crashes, its path argument); embed and postproc
+# crash in their last writer, after the embeddings are written.
+CRASHES = {"count": ("write_frequency_table", 1),
+           "embed": ("save_cipher", 1),
+           "postproc": ("write_json", 1),
+           "probe": ("write_json", 1),
+           "export": ("write_embeddings_binary", 2)}
+
+
+@pytest.mark.parametrize("previous", [True, False], ids=["rerun", "fresh"])
+@pytest.mark.parametrize("command", sorted(CRASHES))
+def test_crashed_writer_leaves_no_artifact(tmp_path, corpus_file, monkeypatch,
+                                           capsys, command, previous):
+    code, emb = _run_embed(tmp_path, corpus_file, "emb.txt", "--bits", "4")
+    assert code == 0
+    conll = tmp_path / "data.conll"
+    conll.write_text(CONLL)
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = {
+        "count": ["count", corpus_file, "--out", out / "freq.tsv"],
+        "embed": ["embed", corpus_file, "--freq", tmp_path / "freq.tsv",
+                  "--out", out / "emb.txt", "--bits", "4",
+                  "--save-cipher", out / "cipher.bin"],
+        "postproc": ["postproc", emb, "--out", out / "post.txt"],
+        "probe": ["probe", emb, "--train", conll, "--dev", conll,
+                  "--test", conll, "--metrics-out", out / "metrics.json",
+                  "--epochs", "1", "--hidden", "4"],
+        "export": ["export", emb, "--out", out / "emb.bin",
+                   "--format", "binary"],
+    }[command]
+    argv = [str(arg) for arg in argv]
+    if previous:
+        assert main(argv) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    writer, path_arg = CRASHES[command]
+    monkeypatch.setattr(f"bitcipher.cli.{writer}", _crashing_writer(path_arg))
+    assert main(argv) == 2
+    assert "No space left on device" in capsys.readouterr().err
+    # the previous run's artifacts and manifest are untouched, or nothing
+    # appears; either way no temporary file is left behind
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def _run_embed(tmp_path, corpus_file, name="emb.txt", *extra, run=main):
     freq = tmp_path / "freq.tsv"
     if not freq.exists():
-        assert main(["count", str(corpus_file), "--out", str(freq)]) == 0
+        assert run(["count", str(corpus_file), "--out", str(freq)]) == 0
     out = tmp_path / name
-    code = main(["embed", str(corpus_file), "--freq", str(freq),
-                 "--out", str(out), *extra])
+    code = run(["embed", str(corpus_file), "--freq", str(freq),
+                "--out", str(out), *extra])
     return code, out
 
 
@@ -585,12 +652,44 @@ def test_export_rejects_corrupt_binary(tmp_path, corpus_file, capsys, case):
 
 
 def test_cli_import_does_not_load_scipy():
-    src = str(Path(bitcipher.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=src)
     probe = "import sys, bitcipher.cli; print('scipy' in sys.modules)"
-    result = subprocess.run([sys.executable, "-c", probe], env=env,
+    result = subprocess.run([sys.executable, "-c", probe], env=_fresh_env(),
                             capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "False"
+
+
+def test_count_loads_no_numpy_module(tmp_path, corpus_file):
+    zipped = tmp_path / "corpus.txt.gz"
+    zipped.write_bytes(gzip.compress(corpus_file.read_bytes()))
+    script = (
+        "import sys\n"
+        "from bitcipher.cli import main\n"
+        "for corpus in sys.argv[1:]:\n"
+        "    assert main(['count', corpus, '--out', corpus + '.tsv']) == 0\n"
+        "print(sorted(m for m in sys.modules if m.startswith('numpy.')))\n")
+    result = subprocess.run(
+        [sys.executable, "-c", script, str(corpus_file), str(zipped)],
+        env=_fresh_env(), capture_output=True, text=True, check=True)
+    # ``numpy`` itself is registered as an unloaded stub; any submodule
+    # would mean numpy's ``__init__`` ran
+    assert result.stdout.splitlines()[-1] == "[]"
+    assert (Path(f"{corpus_file}.tsv").read_bytes()
+            == Path(f"{zipped}.tsv").read_bytes())
+
+
+def test_numpy_stub_is_transparent():
+    script = (
+        "import bitcipher\n"
+        "import numpy\n"
+        "from numpy import float32\n"
+        "values, _ = numpy.linalg.eigh(numpy.eye(2, dtype=float32))\n"
+        "assert isinstance(values, numpy.ndarray), type(values)\n"
+        "assert values.dtype == float32 and list(values) == [1.0, 1.0]\n"
+        "assert bitcipher.cooc.np is numpy\n"
+        "print(numpy.__version__)\n")
+    result = subprocess.run([sys.executable, "-c", script], env=_fresh_env(),
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == np.__version__
 
 
 # The `embed` manifest's config block and the output digests on the synth
@@ -633,11 +732,10 @@ def _synth_corpus(tmp_path):
     return corpus
 
 
-@pytest.mark.parametrize("setting", sorted(GOLDEN_EMBED))
-def test_embed_manifest_matches_golden(tmp_path, setting):
+def _assert_embed_golden(tmp_path, setting, run):
     flags, config, outputs = GOLDEN_EMBED[setting]
     corpus = _synth_corpus(tmp_path)
-    code, out = _run_embed(tmp_path, corpus, "emb", *flags)
+    code, out = _run_embed(tmp_path, corpus, "emb", *flags, run=run)
     assert code == 0
     manifest = json.loads(Path(str(out) + ".manifest.json").read_text())
     assert manifest["inputs"]["corpus"]["sha256"] == GOLDEN_CORPUS_SHA256
@@ -646,12 +744,25 @@ def test_embed_manifest_matches_golden(tmp_path, setting):
             for name, entry in manifest["outputs"].items()} == outputs
 
 
+@pytest.mark.parametrize("setting", sorted(GOLDEN_EMBED))
+def test_embed_manifest_matches_golden(tmp_path, setting):
+    _assert_embed_golden(tmp_path, setting, main)
+
+
+# The tests above run in this process, which has loaded numpy already; here
+# each command loads it itself, on first use, as a user's command does.
+@pytest.mark.parametrize("setting", sorted(GOLDEN_EMBED))
+def test_embed_manifest_matches_golden_in_fresh_interpreter(tmp_path,
+                                                            setting):
+    _assert_embed_golden(tmp_path, setting, _cli_subprocess)
+
+
 def _conll_text(sentences):
     return "".join("".join(f"{token} {tag}\n" for token, tag in sentence)
                    + "\n" for sentence in sentences)
 
 
-def _run_golden_chain(tmp_path):
+def _run_golden_chain(tmp_path, run):
     """count -> embed -> postproc -> probe -> export on the synth corpus."""
     from bitcipher.synth import generate_tagged_sentences
     corpus = _synth_corpus(tmp_path)
@@ -675,7 +786,7 @@ def _run_golden_chain(tmp_path):
          "--seed", "1"],
         ["export", str(post), "--out", str(text), "--format", "text"],
     ):
-        assert main(argv) == 0
+        assert run(argv) == 0, argv[0]
     return {"count": freq, "postproc": post, "probe": metrics,
             "export": text}
 
@@ -733,9 +844,17 @@ GOLDEN_CHAIN = {
 }
 
 
-def test_chain_manifests_match_golden(tmp_path):
-    artifacts = _run_golden_chain(tmp_path)
+def _assert_chain_golden(tmp_path, run):
+    artifacts = _run_golden_chain(tmp_path, run)
     for command, artifact in artifacts.items():
         manifest = json.loads(
             Path(str(artifact) + ".manifest.json").read_text())
         assert _manifest_digests(manifest) == GOLDEN_CHAIN[command], command
+
+
+def test_chain_manifests_match_golden(tmp_path):
+    _assert_chain_golden(tmp_path, main)
+
+
+def test_chain_manifests_match_golden_in_fresh_interpreters(tmp_path):
+    _assert_chain_golden(tmp_path, _cli_subprocess)
