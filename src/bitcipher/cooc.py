@@ -10,7 +10,7 @@ from typing import Iterable
 from ._lazy import np
 from .corpus import Vocabulary
 
-BLOCK = 1 << 16  # sorted keys per ``aggregate`` step
+BLOCK = 1 << 16  # sorted keys per ``aggregate`` step, run on to a row end
 
 
 @dataclass(frozen=True)
@@ -66,13 +66,14 @@ class CoocCounts:
 def _row_ids(documents: Iterable[list[str]],
              vocab: Vocabulary) -> tuple[np.ndarray, np.ndarray]:
     """Row id of each token, and the index of the document holding it."""
-    rows, docs = array("q"), array("q")
+    rows, lengths = array("q"), array("q")
     get, oov = vocab.index.get, vocab.oov_index
-    for doc, tokens in enumerate(documents):
-        rows.extend([get(t, oov) for t in tokens])
-        docs.extend(repeat(doc, len(tokens)))
-    return (np.frombuffer(rows, dtype=np.int64),
-            np.frombuffer(docs, dtype=np.int64))
+    for tokens in documents:
+        rows.extend(map(get, tokens, repeat(oov)))
+        lengths.append(len(tokens))
+    docs = np.repeat(np.arange(len(lengths), dtype=np.int64),
+                     np.frombuffer(lengths, dtype=np.int64))
+    return np.frombuffer(rows, dtype=np.int64), docs
 
 
 def _offset_counts(ids: np.ndarray, docs: np.ndarray, n: int,
@@ -132,16 +133,27 @@ def aggregate(counts: CoocCounts, nu: np.ndarray,
                          f"embedding has {n_rows}")
     slots = config.output_dim(1)
     out = np.zeros((n_rows * slots, bits))
-    # Keys ascend, so each (center, slot) row adds its contexts in ascending
-    # order, across blocks too: a canonical CSR product's, which digests pin.
-    for lo in range(0, len(counts.keys), BLOCK):
-        row, context = np.divmod(counts.keys[lo:lo + BLOCK], n_rows)
-        weights = counts.counts[lo:lo + BLOCK].astype(np.float64)
+    nu_t = np.ascontiguousarray(nu.T)
+    keys = counts.keys
+    # Keys ascend, and each block of about BLOCK keys ends on a row boundary,
+    # so one bincount per bit fills the block's rows, each adding its
+    # contexts in ascending order from 0.0: a canonical CSR product's sums,
+    # which digests pin.
+    lo = 0
+    while lo < len(keys):
+        hi = min(lo + BLOCK, len(keys))
+        hi = int(np.searchsorted(keys, (keys[hi - 1] // n_rows + 1) * n_rows))
+        row, context = np.divmod(keys[lo:hi], n_rows)
+        weights = counts.counts[lo:hi].astype(np.float64)
         if config.log_weighting:
-            weights = np.log1p(weights)
-        contexts = nu[context]
-        contexts *= weights[:, None]
-        np.add.at(out, row, contexts)
+            np.log1p(weights, out=weights)
+        first = int(row[0])
+        row -= first
+        span = int(row[-1]) + 1
+        for j in range(bits):
+            out[first:first + span, j] = np.bincount(
+                row, weights=nu_t[j][context] * weights, minlength=span)
+        lo = hi
     if config.include_center and config.mode == "sum":
         centers = np.unique(counts.keys // n_rows)
         out[centers] += nu[centers]

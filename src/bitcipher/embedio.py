@@ -10,6 +10,7 @@ is always written last under the reserved token ``<oov>``.
 from __future__ import annotations
 
 import struct
+from collections import Counter
 from pathlib import Path
 from typing import Sequence
 
@@ -84,20 +85,28 @@ def vocabulary_from_tokens(tokens: Sequence[str]) -> Vocabulary:
     return Vocabulary(ranked, {t: i for i, t in enumerate(ranked)})
 
 
-def _check_tokens(tokens: Sequence[str], rows: int) -> list[str]:
+def _check_tokens(tokens: Sequence[str], rows: int,
+                  path: str | Path) -> list[str]:
     if len(tokens) != rows:
-        raise ValueError(f"{len(tokens)} tokens for {rows} matrix rows")
+        raise ValueError(f"{path}: {len(tokens)} tokens for {rows} matrix rows")
     escaped = [escape_token(t) for t in tokens]
-    if len(set(escaped)) != len(escaped):
-        dupes = sorted({t for t in escaped if escaped.count(t) > 1})
-        raise ValueError(f"token collision after escaping: {dupes[:5]}")
+    dupes = sorted(t for t, seen in Counter(escaped).items() if seen > 1)
+    if dupes:
+        raise ValueError(f"{path}: token collision after escaping: {dupes[:5]}")
     return escaped
 
 
 def write_embeddings_text(rows: np.ndarray, tokens: Sequence[str],
                           path: str | Path) -> None:
     n, dim = rows.shape
-    escaped = _check_tokens(tokens, n)
+    escaped = _check_tokens(tokens, n, path)
+    # The reader splits each line on whitespace, so a token must escape to
+    # exactly one field.
+    for i, token in enumerate(escaped):
+        if token.split() != [token]:
+            raise ValueError(f"{path}: row {i} token {tokens[i]!r} is empty "
+                             "or holds whitespace the text format cannot "
+                             "escape")
     line = "%s " + " ".join(["%.6g"] * dim) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as out:
         out.write(f"{n} {dim}\n")
@@ -138,7 +147,7 @@ def read_embeddings_text(path: str | Path) -> tuple[np.ndarray, list[str]]:
 def write_embeddings_binary(rows: np.ndarray, tokens: Sequence[str],
                             path: str | Path) -> None:
     n, dim = rows.shape
-    _check_tokens(tokens, n)
+    _check_tokens(tokens, n, path)
     with open(path, "wb") as out:
         out.write(_BIN_HEADER.pack(EMBED_MAGIC, EMBED_VERSION, n, dim))
         out.write(np.ascontiguousarray(rows, dtype="<f4").tobytes())

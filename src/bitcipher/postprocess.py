@@ -97,7 +97,7 @@ def center_and_normalize(rows: np.ndarray,
         centered = rows - rows.mean(axis=0)
     norms = np.linalg.norm(centered, axis=1)
     zero = norms == 0.0
-    centered[~zero] /= norms[~zero, None]
+    np.divide(centered, norms[:, None], out=centered, where=~zero[:, None])
     report.zero_rows = int(zero.sum())
     report.rows_normalized = int((~zero).sum())
     report.steps.append("center_row_mean" if row_mean else "center")

@@ -4,15 +4,18 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 from collections import Counter, defaultdict
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import bitcipher
 from bitcipher.cli import main
-from bitcipher.embedio import read_embeddings_text
+from bitcipher.embedio import (OOV_TOKEN, read_embeddings_text,
+                               write_embeddings_binary)
 
 CORPUS = """\
 the cat sat on the mat .
@@ -396,6 +399,33 @@ def test_export_round_trip(tmp_path, corpus_file):
     second, tokens_second = read_embeddings_text(text_again)
     assert tokens_first == tokens_second
     assert np.all(np.abs(first - second) < 1e-5)
+
+
+# Every character str.split() splits on: the text reader's field separators.
+WHITESPACE = [chr(c) for c in range(0x110000) if chr(c).isspace()]
+
+
+@given(token=st.one_of(st.just(""), st.builds(
+    "{}{}{}".format, st.text("ab", max_size=2), st.sampled_from(WHITESPACE),
+    st.text("ab", max_size=2))))
+def test_export_text_round_trips_or_exits_2(token):
+    # A binary file can hold any token; the text format escapes only
+    # space, tab, newline and carriage return.
+    tokens = ["c", token, OOV_TOKEN]
+    rows = np.arange(6, dtype=np.float32).reshape(3, 2)
+    with tempfile.TemporaryDirectory() as tmp:
+        binary, text = Path(tmp) / "emb.bin", Path(tmp) / "emb.txt"
+        write_embeddings_binary(rows, tokens, binary)
+        code = main(["export", str(binary), "--out", str(text),
+                     "--format", "text"])
+        if code == 0:
+            back, back_tokens = read_embeddings_text(text)
+            assert back_tokens == tokens
+            assert np.array_equal(back, rows)
+            assert token and set(token) <= set("ab \t\n\r")
+        else:
+            assert code == 2
+            assert sorted(p.name for p in Path(tmp).iterdir()) == ["emb.bin"]
 
 
 def test_probe_command_output_format(tmp_path, corpus_file, capsys):

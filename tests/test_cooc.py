@@ -4,7 +4,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from bitcipher import cooc
 from bitcipher.cipher import build_cipher, build_noise_model
@@ -387,8 +387,9 @@ def test_embedding_bytes_match_golden_digest(config):
 ], ids=["golden-sum", "golden-cat", "cat-include-center"])
 def test_aggregate_blocks_split_rows_without_changing_bytes(monkeypatch,
                                                             config):
-    # The default block holds every cell of these corpora; smaller blocks
-    # split rows' cells across block boundaries.
+    # The default block holds every cell of these corpora. A smaller block
+    # runs on to the end of the row it stops in, so with 1 or 3 keys a block
+    # holds one or a few whole rows; no block ever splits a row.
     text, _, vocab, nu = _golden_inputs()
     counts = accumulate_cooccurrence(stream_documents(text), vocab, config)
     assert np.all(np.diff(counts.keys) > 0)
@@ -399,3 +400,84 @@ def test_aggregate_blocks_split_rows_without_changing_bytes(monkeypatch,
         monkeypatch.setattr(cooc, "BLOCK", block)
         assert embed_corpus(stream_documents(text), vocab, nu,
                             config).tobytes() == expected
+
+
+def _aggregate_add_at(counts, nu, config):
+    """Reference ``aggregate``: one ``np.add.at`` over every key.
+
+    ``np.add.at`` adds each key's weighted vector into its row in key order,
+    so every row is the sequential sum of its contexts from 0.0.
+    """
+    n_rows, bits = nu.shape
+    slots = config.output_dim(1)
+    out = np.zeros((n_rows * slots, bits))
+    row, context = np.divmod(counts.keys, n_rows)
+    weights = counts.counts.astype(np.float64)
+    if config.log_weighting:
+        weights = np.log1p(weights)
+    contexts = nu[context]
+    contexts *= weights[:, None]
+    np.add.at(out, row, contexts)
+    if config.include_center and config.mode == "sum":
+        centers = np.unique(counts.keys // n_rows)
+        out[centers] += nu[centers]
+    return out.reshape(n_rows, slots * bits)
+
+
+@st.composite
+def _random_counts(draw):
+    """A config and sorted unique keys with positive counts, plus ``nu``.
+
+    With ``wide``, row 1 holds a cell for every one of 4,100 contexts, more
+    than the largest block the test sets.
+    """
+    config = ContextConfig(radius=draw(st.integers(1, 3)),
+                           mode=draw(st.sampled_from(["sum", "cat"])),
+                           log_weighting=draw(st.booleans()),
+                           include_center=draw(st.booleans()))
+    wide = draw(st.booleans())
+    n = 4_100 if wide else draw(st.integers(1, 12))
+    bits = draw(st.integers(1, 4))
+    space = n * n * config.output_dim(1)
+    keys = set(draw(st.lists(st.integers(0, space - 1), max_size=80)))
+    if wide:
+        keys.update(range(n, 2 * n))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    keys = np.array(sorted(keys), dtype=np.int64)
+    counts = rng.integers(1, 10 ** 6, size=len(keys), dtype=np.int64)
+    return (CoocCounts(config.mode, config.radius, n, keys, counts),
+            rng.normal(size=(n, bits)), config)
+
+
+@pytest.mark.parametrize("block", [1, 3, 4096])
+@given(case=_random_counts())
+def test_aggregate_matches_add_at_reference(block, case):
+    counts, nu, config = case
+    expected = _aggregate_add_at(counts, nu, config).tobytes()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cooc, "BLOCK", block)
+        assert aggregate(counts, nu, config).tobytes() == expected
+
+
+def _row_ids_per_token(documents, vocab):
+    """Reference ``_row_ids``: one id lookup and one document index
+    appended per token."""
+    rows, docs = [], []
+    for doc, tokens in enumerate(documents):
+        rows.extend([vocab.index.get(t, vocab.oov_index) for t in tokens])
+        docs.extend([doc] * len(tokens))
+    return (np.array(rows, dtype=np.int64), np.array(docs, dtype=np.int64))
+
+
+@given(docs=st.lists(st.lists(st.sampled_from("abcdxy"), max_size=6),
+                     max_size=8))
+@example(docs=[])
+@example(docs=[[]])
+@example(docs=[[], ["a"], [], ["b", "x"], []])
+def test_row_ids_match_per_token_reference(docs):
+    _, vocab, _, _ = _setup(b"a b c a b a d\n", 3)  # x and y are OOV
+    rows, doc_ids = cooc._row_ids(iter(docs), vocab)
+    want_rows, want_docs = _row_ids_per_token(docs, vocab)
+    assert rows.dtype == doc_ids.dtype == np.int64
+    assert rows.tobytes() == want_rows.tobytes()
+    assert doc_ids.tobytes() == want_docs.tobytes()

@@ -70,6 +70,29 @@ def test_collision_after_escaping_rejected(tmp_path):
         write_embeddings_text(rows, ["dup", "dup"], tmp_path / "x.txt")
 
 
+@pytest.mark.parametrize("writer", [write_embeddings_text,
+                                    write_embeddings_binary])
+def test_repeated_tokens_report_names_output_path(tmp_path, writer):
+    # 20,000 copies of one token: counting each token's copies one by one
+    # would take seconds here
+    tokens = ["dup"] * 20_000 + ["a", "a", OOV_TOKEN]
+    path = tmp_path / "x.emb"
+    with pytest.raises(ValueError) as info:
+        writer(np.zeros((len(tokens), 1)), tokens, path)
+    assert str(info.value) == (f"{path}: token collision after escaping: "
+                               "['a', 'dup']")
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("token", ["", "a\xa0b", "\x0b", "x\u2028"])
+def test_text_writer_rejects_unescapable_token(tmp_path, token):
+    path = tmp_path / "x.txt"
+    with pytest.raises(ValueError) as info:
+        write_embeddings_text(np.eye(3), ["ok", token, OOV_TOKEN], path)
+    assert str(info.value).startswith(f"{path}: row 1 token {token!r} ")
+    assert not path.exists()
+
+
 def test_sniffing_reader(tmp_path):
     rows = np.ones((2, 3), dtype=np.float32)
     tokens = ["a", OOV_TOKEN]
