@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Print the bit assignment table for a small cipher.
 
-Useful for eyeballing the weight-class walk: rank 1 starts at the first
+Useful for eyeballing the weight-class order: rank 1 starts at the first
 basis vector, and each weight class fills in an order that keeps adjacent
 ranks similar.
 """

@@ -1,10 +1,13 @@
 """Deterministic bit-vector assignment and frequency-derived noise encoding.
 
 A b-bit cipher assigns each vocabulary rank a unique nonzero pattern from
-{0,1}^b, walking Hamming-weight classes in order so that the most frequent
-tokens get the most discernible (lowest-weight) patterns. L1-normalizing the
-patterns yields probabilistic "plain" vectors, which are then blended with a
-corpus-wide noise distribution to produce dense token vectors.
+{0,1}^b in order of Hamming weight, so that the most frequent tokens get the
+most discernible (lowest-weight) patterns. Weight 1 is the standard basis in
+index order; each heavier class sets a new top bit h, from b - 1 down to 0,
+in every pattern of the class below (read in reverse) whose top bit is
+below h. L1-normalizing the patterns yields probabilistic "plain" vectors,
+which are then blended with a corpus-wide noise distribution to produce
+dense token vectors.
 """
 
 from __future__ import annotations
@@ -51,50 +54,34 @@ def cipher_capacity(bits: int) -> int:
     return (1 << bits) - 1
 
 
-def _walk_bit_patterns(n_vectors: int, bits: int) -> list[int]:
-    """Enumerate the first ``n_vectors`` patterns in assignment order.
+def _bit_rows(n_vectors: int, bits: int) -> np.ndarray:
+    """The first ``n_vectors`` cipher rows as an n x bits array of 0s and 1s.
 
-    Patterns are generated weight class by weight class: each candidate is
-    the componentwise absolute difference between an already-assigned
-    pattern of one lower weight and a standard basis vector (an XOR on the
-    packed representation). Scanning advances through the lower-weight list
-    for a fixed basis vector, then moves to the next basis vector; when a
-    weight class is exhausted both the finished list and (after the first
-    class) the basis order are reversed, which keeps consecutive ranks
-    maximally similar across the class boundary.
+    Weight class 1 is the standard basis in index order. Class k >= 2 is
+    built from class k - 1 read in reverse: for each top bit h from
+    ``bits - 1`` down to 0, take the rows whose highest set bit is below h,
+    in that order, and set bit h in each. This is the order of the scan that
+    XORs each basis vector, in reversed index order, into each pattern of
+    the reversed class below and keeps the new weight-k patterns: the scan
+    first meets a pattern at its highest set bit.
     """
-    prev_level = [0]
-    cur_level: list[int] = []
-    seen: set[int] = set()
-    basis = list(range(bits))
-    rows: list[int] = []
-    i = j = 0
-    k = 1
-    while len(rows) < n_vectors:
-        u = prev_level[j] ^ (1 << basis[i])
-        if u.bit_count() == k and u not in seen:
-            cur_level.append(u)
-            seen.add(u)
-            rows.append(u)
-        j += 1
-        if j == len(prev_level):
-            j = 0
-            i += 1
-            if i == bits:
-                if k == 1:
-                    basis.reverse()
-                i = 0
-                cur_level.reverse()
-                prev_level, cur_level, seen = cur_level, [], set()
-                k += 1
+    rows = np.zeros((n_vectors, bits), dtype=np.uint8)
+    head = np.arange(min(n_vectors, bits))
+    rows[head, head] = 1
+    start, end, top = 0, len(head), head
+    while end < n_vectors:
+        prev, prev_top = rows[start:end][::-1], top[::-1]
+        start, tops = end, []
+        for h in range(bits - 1, -1, -1):
+            block = prev[prev_top < h][:n_vectors - end]
+            rows[end:end + len(block)] = block
+            rows[end:end + len(block), h] = 1
+            tops.append(np.full(len(block), h))
+            end += len(block)
+            if end == n_vectors:
+                break
+        top = np.concatenate(tops)
     return rows
-
-
-def _unpack_bit_rows(packed: bytes, n: int, bits: int) -> np.ndarray:
-    """Unpack n rows of ceil(bits / 8) bytes, 8 bits per byte in little bit
-    order, into an n x bits array of 0s and 1s."""
-    rows = np.frombuffer(packed, dtype=np.uint8).reshape(n, (bits + 7) // 8)
-    return np.unpackbits(rows, axis=1, bitorder="little")[:, :bits]
 
 
 def build_cipher(n_vectors: int, bits: int) -> CipherPair:
@@ -114,10 +101,7 @@ def build_cipher(n_vectors: int, bits: int) -> CipherPair:
             f"{n_vectors} vectors requested but only {capacity} distinct "
             f"nonzero {bits}-bit patterns exist"
         )
-    row_bytes = (bits + 7) // 8
-    packed = b"".join(mask.to_bytes(row_bytes, "little")
-                      for mask in _walk_bit_patterns(n_vectors, bits))
-    bit_rows = _unpack_bit_rows(packed, n_vectors, bits)
+    bit_rows = _bit_rows(n_vectors, bits)
     weights = bit_rows.sum(axis=1, dtype=np.float64)
     plain_rows = bit_rows / weights[:, None]
     return CipherPair(bit_rows, plain_rows, bits)
@@ -223,11 +207,25 @@ def load_cipher(path) -> tuple[CipherPair, str]:
         raise ValueError(f"{path}: not a cipher file")
     if version != CIPHER_VERSION:
         raise ValueError(f"{path}: unsupported version {version}")
-    mode = str(reader.take(mode_len, "mode tag"), "utf-8")
-    packed = reader.take(n * ((bits + 7) // 8), "bit rows")
-    bit_rows = _unpack_bit_rows(packed, n, bits)
+    if n < 1 or bits < 1:
+        raise ValueError(f"{path}: header at byte 0 declares {n} rows of "
+                         f"{bits} bits; a cipher has at least 1 of each")
+    mode = reader.take_text(mode_len, "mode tag")
+    row_bytes, at = (bits + 7) // 8, reader.offset
+    packed = np.frombuffer(reader.take(n * row_bytes, "bit rows"), np.uint8)
+    rows = np.unpackbits(packed.reshape(n, row_bytes), axis=1,
+                         bitorder="little")
+    padded = np.flatnonzero(rows[:, bits:].any(axis=1))
+    if padded.size:
+        row = int(padded[0])
+        raise ValueError(f"{path}: bit row {row} sets padding bits at byte "
+                         f"{at + (row + 1) * row_bytes - 1}")
+    at = reader.offset
     plain = np.frombuffer(reader.take(n * bits * 4, "plain rows"), dtype="<f4")
+    finite = np.isfinite(plain)
+    if not finite.all():
+        raise ValueError(f"{path}: non-finite plain row value at byte "
+                         f"{at + 4 * int(np.argmin(finite))}")
     plain_rows = plain.reshape(n, bits).astype(np.float64)
     reader.finish()
-    return CipherPair(bit_rows, plain_rows, bits), mode
-
+    return CipherPair(rows[:, :bits], plain_rows, bits), mode

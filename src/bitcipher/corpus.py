@@ -7,6 +7,7 @@ import io
 import re
 import zlib
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator
@@ -25,6 +26,23 @@ class EncodingError(ValueError):
         self.offset = offset
         where = f"{source}: " if isinstance(source, (str, Path)) else ""
         super().__init__(f"{where}invalid UTF-8 at byte offset {offset}")
+
+
+@contextmanager
+def open_text(path: str | Path) -> Iterator[io.TextIOWrapper]:
+    """Open ``path`` for reading as UTF-8 text. Invalid UTF-8 raises
+    :class:`EncodingError` with the path and the absolute byte offset, found
+    by decoding the whole file once more: the decoder's own position counts
+    from the start of its buffer."""
+    with open(path, "r", encoding="utf-8") as src:
+        try:
+            yield src
+        except UnicodeDecodeError:
+            try:
+                Path(path).read_bytes().decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise EncodingError(exc.start, path) from None
+            raise
 
 
 @dataclass(frozen=True)
@@ -216,7 +234,7 @@ def write_frequency_table(table: FrequencyTable, path: str | Path) -> None:
 
 
 def read_frequency_table(path: str | Path) -> FrequencyTable:
-    with open(path, "r", encoding="utf-8") as src:
+    with open_text(path) as src:
         header = src.readline().rstrip("\n")
         totals = re.fullmatch(r"#M=(\d+)\s+D=(\d+)\s*", header)
         if totals is None:

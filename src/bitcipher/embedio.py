@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Sequence
 
 from ._lazy import np
-from .corpus import Vocabulary
+from .corpus import EncodingError, Vocabulary, open_text
 
 OOV_TOKEN = "<oov>"
 EMBED_MAGIC = b"BCEM"
@@ -45,6 +45,15 @@ class ByteReader:
                              f"{self.offset}")
         self.offset += size
         return self.data[self.offset - size:self.offset]
+
+    def take_text(self, size: int, what: str) -> str:
+        """The next ``size`` bytes decoded as UTF-8."""
+        raw = self.take(size, what)
+        try:
+            return str(raw, "utf-8")
+        except UnicodeDecodeError as exc:
+            raise EncodingError(self.offset - size + exc.start,
+                                self.path) from None
 
     def finish(self) -> None:
         """Reject bytes after the last field read."""
@@ -115,7 +124,7 @@ def write_embeddings_text(rows: np.ndarray, tokens: Sequence[str],
 
 
 def read_embeddings_text(path: str | Path) -> tuple[np.ndarray, list[str]]:
-    with open(path, "r", encoding="utf-8") as src:
+    with open_text(path) as src:
         header = src.readline()
         fields = header.split()
         if len(fields) != 2 or not all(f.isdecimal() for f in fields):
@@ -170,12 +179,7 @@ def read_embeddings_binary(path: str | Path) -> tuple[np.ndarray, list[str]]:
     tokens = []
     for i in range(n):
         (length,) = struct.unpack("<I", reader.take(4, f"length of token {i}"))
-        raw = reader.take(length, f"token {i}")
-        try:
-            tokens.append(str(raw, "utf-8"))
-        except UnicodeDecodeError:
-            raise ValueError(f"{path}: token {i} is not UTF-8 at byte "
-                             f"{reader.offset - length}") from None
+        tokens.append(reader.take_text(length, f"token {i}"))
     reader.finish()
     return rows, tokens
 
@@ -188,13 +192,20 @@ def is_binary_embedding_file(path: str | Path) -> bool:
 def read_embeddings(path: str | Path) -> tuple[np.ndarray, list[str]]:
     """Read either format, sniffing the binary magic.
 
-    Rows holding NaN or infinity are rejected with the path and the first
-    such row, so no command turns them into an artifact.
+    Rows holding NaN or infinity, and a token that repeats an earlier row,
+    are rejected with the path and the first such row, so no command turns
+    them into an artifact.
     """
     if is_binary_embedding_file(path):
         rows, tokens = read_embeddings_binary(path)
     else:
         rows, tokens = read_embeddings_text(path)
+    if len(set(tokens)) != len(tokens):
+        first: dict[str, int] = {}
+        row = next(i for i, t in enumerate(tokens)
+                   if first.setdefault(t, i) != i)
+        raise ValueError(f"{path}: row {row} token {tokens[row]!r} repeats "
+                         f"row {first[tokens[row]]}")
     finite = np.isfinite(rows).all(axis=1)
     if not finite.all():
         row = int(np.argmin(finite))

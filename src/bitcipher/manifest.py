@@ -37,7 +37,8 @@ def staged(paths: dict):
     """Yield a temporary path beside each of ``paths`` (name -> path) for
     the block to write, and move each onto its path once the block ends.
     If the block raises, the temporary files are removed and no path is
-    touched, so a crash never leaves a half-written artifact."""
+    touched, so a crash never leaves a half-written artifact; a
+    ``ValueError`` message then names the path, not its temporary file."""
     pid = os.getpid()
     temps = {name: Path(path).with_name(f".{Path(path).name}.{pid}.tmp")
              for name, path in paths.items()}
@@ -45,6 +46,13 @@ def staged(paths: dict):
         yield temps
         for name, temp in temps.items():
             os.replace(temp, paths[name])
+    except ValueError as exc:
+        # Writers name the path they were handed; name the output instead.
+        for name, temp in temps.items():
+            exc.args = tuple(arg.replace(str(temp), str(paths[name]))
+                             if isinstance(arg, str) else arg
+                             for arg in exc.args)
+        raise
     finally:
         for temp in temps.values():
             with suppress(FileNotFoundError):

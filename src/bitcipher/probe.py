@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass, field
 
 from ._lazy import np
-from .corpus import Vocabulary
+from .corpus import Vocabulary, open_text
 
 
 @dataclass
@@ -53,7 +53,7 @@ def load_conll(path, token_column: int = 0, label_column: int = -1,
     label_set: list[str] = []
     seen_labels: set[str] = set()
     ncols: int | None = None
-    with open(path, "r", encoding="utf-8") as src:
+    with open_text(path) as src:
         for lineno, line in enumerate(src, start=1):
             stripped = line.strip()
             if not stripped:

@@ -1,11 +1,15 @@
-"""The benchmark workloads' seed-1 ``embed`` artifacts, pinned byte for byte.
+"""The benchmark workloads' seed-1 ``embed`` artifacts, pinned byte for byte,
+and the functions bitbench's tracer wraps or calls.
 
 bitbench times these chains; a speed-up that changed their output would
-not be a speed-up of the same computation.
+not be a speed-up of the same computation. A traced function that is
+renamed or re-signed would leave its per-layer metrics absent.
 """
 
 import hashlib
+import importlib
 import importlib.util
+import inspect
 import os
 import subprocess
 import sys
@@ -16,11 +20,19 @@ import pytest
 import bitcipher
 
 ROOT = Path(__file__).resolve().parent.parent
-_spec = importlib.util.spec_from_file_location(
-    "bench_workloads", ROOT / "bitbench" / "workloads.py")
-workloads = importlib.util.module_from_spec(_spec)
-sys.modules[_spec.name] = workloads  # dataclasses look their module up
-_spec.loader.exec_module(workloads)
+
+
+def _load_bench_module(name):
+    spec = importlib.util.spec_from_file_location(
+        f"bench_{name}", ROOT / "bitbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+workloads = _load_bench_module("workloads")
+tracer = _load_bench_module("tracer")
 
 # SHA-256 of emb.txt (rows after --postproc) for seed 1
 GOLDEN_EMB_SHA256 = {
@@ -46,3 +58,15 @@ def test_workload_embed_rows_match_golden(tmp_path, name):
                        cwd=tmp_path, env=env, check=True, capture_output=True)
     digest = hashlib.sha256((tmp_path / "emb.txt").read_bytes()).hexdigest()
     assert digest == GOLDEN_EMB_SHA256[name]
+
+
+def test_tracer_finds_every_function_it_wraps_or_calls():
+    import bitcipher.cli  # noqa: F401  the tracer wraps after this import
+    for layer, names in tracer.TARGETS.items():
+        module = importlib.import_module(f"bitcipher.{layer}")
+        for name in names:
+            assert callable(getattr(module, name, None)), f"{layer}.{name}"
+    corpus = importlib.import_module("bitcipher.corpus")
+    # run_layers drains stream_tokens and calls count_corpus(path, workers=1)
+    assert callable(getattr(corpus, "stream_tokens", None))
+    inspect.signature(corpus.count_corpus).bind("corpus.txt", workers=1)

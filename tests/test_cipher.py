@@ -1,11 +1,14 @@
+import hashlib
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from bitcipher.cipher import (CapacityError, _walk_bit_patterns, build_cipher,
-                              build_noise_model, cipher_capacity,
-                              compute_beta, compute_sigma, load_cipher,
-                              noisy_vectors, save_cipher)
+from bitcipher.cipher import (CapacityError, build_cipher, build_noise_model,
+                              cipher_capacity, compute_beta, compute_sigma,
+                              load_cipher, noisy_vectors, save_cipher)
 from bitcipher.corpus import FrequencyTable, Vocabulary, build_vocabulary
 
 
@@ -71,9 +74,42 @@ def test_build_cipher_deterministic():
     assert np.array_equal(a.plain_rows, b.plain_rows)
 
 
-def _bit_rows_by_loop(n, bits):
-    """The per-row bit loop the vectorized unpack replaced, kept as the
-    reference."""
+def _walk_bit_patterns(n_vectors, bits):
+    """The scalar search the cipher was first built with, kept as the
+    reference: each candidate XORs a basis vector into a pattern of the
+    class below, scanning the class for a fixed basis vector before moving
+    to the next; repeats are dropped with a set. When a class is exhausted
+    the finished list and (after the first class) the basis order are
+    reversed."""
+    prev_level = [0]
+    cur_level = []
+    seen = set()
+    basis = list(range(bits))
+    rows = []
+    i = j = 0
+    k = 1
+    while len(rows) < n_vectors:
+        u = prev_level[j] ^ (1 << basis[i])
+        if u.bit_count() == k and u not in seen:
+            cur_level.append(u)
+            seen.add(u)
+            rows.append(u)
+        j += 1
+        if j == len(prev_level):
+            j = 0
+            i += 1
+            if i == bits:
+                if k == 1:
+                    basis.reverse()
+                i = 0
+                cur_level.reverse()
+                prev_level, cur_level, seen = cur_level, [], set()
+                k += 1
+    return rows
+
+
+def _bit_rows_by_walk(n, bits):
+    """The reference walk's patterns, unpacked with a per-row bit loop."""
     rows = np.zeros((n, bits), dtype=np.uint8)
     for row, mask in enumerate(_walk_bit_patterns(n, bits)):
         while mask:
@@ -83,15 +119,52 @@ def _bit_rows_by_loop(n, bits):
     return rows
 
 
-@pytest.mark.parametrize("n,bits", [(cipher_capacity(b), b)
-                                    for b in range(1, 13)] + [(1000, 70)])
-def test_bit_rows_match_per_row_loop(n, bits):
+def _assert_matches_walk(n, bits):
     pair = build_cipher(n, bits)
-    expected = _bit_rows_by_loop(n, bits)
+    expected = _bit_rows_by_walk(n, bits)
     assert pair.bit_rows.dtype == expected.dtype
     assert np.array_equal(pair.bit_rows, expected)
     assert np.array_equal(pair.plain_rows,
                           expected / expected.sum(axis=1)[:, None])
+
+
+@pytest.mark.parametrize("n,bits", [(cipher_capacity(b), b)
+                                    for b in range(1, 17)] + [(1000, 70)])
+def test_bit_rows_match_per_row_loop(n, bits):
+    _assert_matches_walk(n, bits)
+
+
+@given(st.integers(1, 12), st.data())
+def test_bit_row_prefixes_match_reference_walk(bits, data):
+    _assert_matches_walk(data.draw(st.integers(1, cipher_capacity(bits))),
+                         bits)
+
+
+def test_million_row_cipher_digests():
+    # SHA-256 of the arrays' bytes as the reference walk builds them
+    pair = build_cipher(2**20, 25)
+    digests = [hashlib.sha256(rows.tobytes()).hexdigest()
+               for rows in (pair.bit_rows, pair.plain_rows)]
+    assert digests == [
+        "606d4f0c509be23967400c8be33e3539"
+        "3b4c93c7220e0620bf77bc4d7d819592",
+        "df3c7de481d6555b4010577278f99904"
+        "290e4bd9a296fda0d4da87140c44f274",
+    ]
+
+
+def test_wide_cipher_allocates_rows_not_bits_squared():
+    n, bits = 3, 100_000
+    tracemalloc.start()
+    try:
+        pair = build_cipher(n, bits)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(pair.bit_rows, np.eye(n, bits, dtype=np.uint8))
+    # the bit rows (n*b bytes) and the float64 plain rows (8*n*b bytes);
+    # b*b bytes would be 10 GB
+    assert peak < 16 * n * bits
 
 
 def test_capacity_error_names_both_values():
@@ -293,10 +366,17 @@ def test_cipher_load_rejects_other_files(tmp_path):
         load_cipher(path)
 
 
+def _patch(data, at, raw):
+    return data[:at] + raw + data[at + len(raw):]
+
+
 @pytest.mark.parametrize("case", ["cut_header", "cut_bit_rows", "cut_floats",
-                                  "trailing_bytes"])
+                                  "trailing_bytes", "no_rows", "no_bits",
+                                  "padding_bits", "nan_plain",
+                                  "mode_tag_utf8"])
 def test_cipher_load_rejects_corrupt_files(tmp_path, case):
-    # 100 x 9: 14-byte header, 2-byte mode tag, 200 bytes of bit rows, then
+    # 100 x 9: 14-byte header (N at byte 5, b at byte 9), 2-byte mode tag,
+    # 200 bytes of bit rows (2 per row, 7 padding bits in the second), then
     # 3600 bytes of float32 plain rows
     path = tmp_path / "cipher.bin"
     save_cipher(build_cipher(100, 9), path, mode="df")
@@ -308,9 +388,20 @@ def test_cipher_load_rejects_corrupt_files(tmp_path, case):
         "cut_floats": (data[:-1], "truncated plain rows at byte 216"),
         "trailing_bytes": (data + b"\x00\x01\x02",
                            "3 trailing bytes at byte 3816"),
+        "no_rows": (_patch(data, 5, struct.pack("<I", 0)),
+                    "header at byte 0 declares 0 rows of 9 bits; a cipher "
+                    "has at least 1 of each"),
+        "no_bits": (_patch(data, 9, struct.pack("<I", 0)),
+                    "header at byte 0 declares 100 rows of 0 bits; a cipher "
+                    "has at least 1 of each"),
+        "padding_bits": (_patch(data, 31, bytes([data[31] | 0x80])),
+                         "bit row 7 sets padding bits at byte 31"),
+        "nan_plain": (_patch(data, 256, struct.pack("<f", float("nan"))),
+                      "non-finite plain row value at byte 256"),
+        "mode_tag_utf8": (_patch(data, 15, b"\xff"),
+                          "invalid UTF-8 at byte offset 15"),
     }[case]
     path.write_bytes(bad)
     with pytest.raises(ValueError) as err:
         load_cipher(path)
     assert str(err.value) == f"{path}: {message}"
-

@@ -428,6 +428,37 @@ def test_export_text_round_trips_or_exits_2(token):
             assert sorted(p.name for p in Path(tmp).iterdir()) == ["emb.bin"]
 
 
+@pytest.mark.parametrize("writer", ["text", "binary"])
+def test_writer_token_error_names_output_path(tmp_path, capsys, writer):
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    if writer == "text":
+        # export to text: a token holding whitespace the format cannot escape
+        source = tmp_path / "emb.bin"
+        write_embeddings_binary(np.eye(3), ["c", "a\xa0b", OOV_TOKEN], source)
+        out = out_dir / "emb.txt"
+        argv = ["export", source, "--out", out, "--format", "text"]
+        message = f"{out}: row 1 token 'a\\xa0b' is empty or holds whitespace"
+    else:
+        # a corpus token that is the OOV row's label, kept whole by
+        # --no-split-punct, repeats a token of the binary file
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("the <oov> cat\n")
+        freq = tmp_path / "freq.tsv"
+        assert main(["count", str(corpus), "--out", str(freq),
+                     "--no-split-punct"]) == 0
+        out = out_dir / "emb.bin"
+        argv = ["embed", corpus, "--freq", freq, "--out", out, "--bits", "3",
+                "--format", "binary", "--no-split-punct"]
+        message = f"{out}: token collision after escaping: ['<oov>']"
+    capsys.readouterr()
+    assert main([str(arg) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}")
+    assert ".tmp" not in err
+    assert list(out_dir.iterdir()) == []
+
+
 def test_probe_command_output_format(tmp_path, corpus_file, capsys):
     code, emb = _run_embed(tmp_path, corpus_file, "emb.txt",
                            "--bits", "5", "--radius", "2", "--mode", "sum")
