@@ -13,8 +13,8 @@ from . import __version__
 from .cipher import (build_cipher, build_noise_model, cipher_capacity,
                      save_cipher)
 from .cooc import ContextConfig, embed_corpus
-from .corpus import (TokenizerConfig, build_vocabulary, count_corpus,
-                     read_frequency_table, stream_documents,
+from .corpus import (OOV_TOKEN, TokenizerConfig, build_vocabulary,
+                     count_corpus, read_frequency_table, stream_documents,
                      write_frequency_table)
 from .embedio import (read_embeddings, row_tokens, vocabulary_from_tokens,
                       write_embeddings_binary, write_embeddings_text)
@@ -97,12 +97,18 @@ def cmd_embed(args) -> int:
     config = _tokenizer_config(args)
     table = read_frequency_table(args.freq)
     vocab = build_vocabulary(table, args.bits, max_vocab=args.max_vocab)
-    if vocab.size < len(table.counts):
+    distinct = len(table.counts)
+    if OOV_TOKEN in table.counts:
+        distinct -= 1
+        print(f"warning: {OOV_TOKEN} is the reserved label of the "
+              f"out-of-vocabulary row; its {table.counts[OOV_TOKEN][0]} "
+              "occurrences use that row", file=sys.stderr)
+    if vocab.size < distinct:
         limit = (f"capacity 2^{args.bits} - 1"
                  if vocab.size == cipher_capacity(args.bits)
                  else f"--max-vocab {args.max_vocab}")
         print(f"warning: vocabulary truncated to {vocab.size} of "
-              f"{len(table.counts)} distinct tokens ({limit})",
+              f"{distinct} distinct tokens ({limit})",
               file=sys.stderr)
     pair = build_cipher(vocab.size, args.bits)
     context = ContextConfig(radius=args.radius, mode=args.mode,

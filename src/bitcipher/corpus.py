@@ -14,6 +14,10 @@ from typing import BinaryIO, Iterable, Iterator
 
 GZIP_MAGIC = b"\x1f\x8b"
 
+# The label of the out-of-vocabulary row in embedding files; reserved, so a
+# corpus token spelled this way is never given a row of its own.
+OOV_TOKEN = "<oov>"
+
 # A maximal alphanumeric run, or a maximal run of the other non-space
 # characters: ``\w`` is ``isalnum()`` plus "_", ``\s`` is ``isspace()``.
 _TOKEN = re.compile(r"[^\W_]+|(?:[^\w\s]|_)+")
@@ -209,19 +213,26 @@ def rank_tokens(table: FrequencyTable) -> list[str]:
 
 def build_vocabulary(table: FrequencyTable, bits: int,
                      max_vocab: int | None = None) -> Vocabulary:
-    """Keep the top tokens that fit in ``bits`` (capacity 2^bits - 1)."""
+    """Keep the top tokens that fit in ``bits`` (capacity 2^bits - 1).
+
+    :data:`OOV_TOKEN` is never kept: like a token cut by the capacity, its
+    occurrences fall on the out-of-vocabulary row.
+    """
     if bits < 1:
         raise ValueError("bits must be >= 1")
     capacity = (1 << bits) - 1
-    size = min(len(table.counts), capacity)
+    ranked = rank_tokens(table)
+    if OOV_TOKEN in table.counts:
+        ranked.remove(OOV_TOKEN)
+    size = min(len(ranked), capacity)
     if max_vocab is not None:
         if max_vocab < 1:
             raise ValueError(f"max_vocab must be >= 1, got {max_vocab}")
         size = min(size, max_vocab)
     if size == 0:
         raise ValueError("empty vocabulary: no tokens fit the requested capacity")
-    ranked = tuple(rank_tokens(table)[:size])
-    return Vocabulary(ranked, {t: i for i, t in enumerate(ranked)})
+    kept = tuple(ranked[:size])
+    return Vocabulary(kept, {t: i for i, t in enumerate(kept)})
 
 
 def write_frequency_table(table: FrequencyTable, path: str | Path) -> None:

@@ -1,10 +1,13 @@
 """Interoperable embedding files: whitespace text and little-endian binary.
 
 Text format: a ``<rows> <dim>`` header line, then one ``token v1 ... vd``
-line per row with 6 significant digits. Binary format: magic ``BCEM``,
-version, row count, dimension (all little-endian 32-bit), row-major float32
-values, then a length-prefixed UTF-8 token table. The out-of-vocabulary row
-is always written last under the reserved token ``<oov>``.
+line per row with 6 significant digits. It is read in one streamed pass by
+numpy's C ``loadtxt``, so values follow numpy's float grammar: ``1_0``,
+which ``float()`` accepts, is refused, as hex such as ``0x10`` always was.
+Binary format: magic ``BCEM``, version, row count, dimension (all
+little-endian 32-bit), row-major float32 values, then a length-prefixed
+UTF-8 token table. The out-of-vocabulary row is always written last under
+the reserved token ``<oov>``.
 """
 
 from __future__ import annotations
@@ -15,9 +18,8 @@ from pathlib import Path
 from typing import Sequence
 
 from ._lazy import np
-from .corpus import EncodingError, Vocabulary, open_text
+from .corpus import OOV_TOKEN, EncodingError, Vocabulary, open_text
 
-OOV_TOKEN = "<oov>"
 EMBED_MAGIC = b"BCEM"
 EMBED_VERSION = 1
 _BIN_HEADER = struct.Struct("<4sIII")
@@ -124,6 +126,13 @@ def write_embeddings_text(rows: np.ndarray, tokens: Sequence[str],
 
 
 def read_embeddings_text(path: str | Path) -> tuple[np.ndarray, list[str]]:
+    """Read a text embedding file in one streamed pass.
+
+    numpy's C ``loadtxt`` parses each line, with a throwaway converter for
+    the token column; the rows returned are a view past that column, and the
+    tokens are collected as the lines stream by. Any failure re-reads the
+    file with :func:`_check_text_rows` to name the first bad row.
+    """
     with open_text(path) as src:
         header = src.readline()
         fields = header.split()
@@ -131,8 +140,41 @@ def read_embeddings_text(path: str | Path) -> tuple[np.ndarray, list[str]]:
             raise ValueError(f"{path}: malformed header {header.strip()!r}, "
                              "expected '<rows> <dim>'")
         n, dim = int(fields[0]), int(fields[1])
-        rows = np.empty((n, dim), dtype=np.float64)
         tokens: list[str] = []
+
+        def lines():
+            # loadtxt would skip a blank line, warn on no lines at all, and
+            # count blank lines against max_rows differently across versions
+            for _ in range(n):
+                line = src.readline()
+                if not line.strip():
+                    raise ValueError("a blank line or the end of the file")
+                tokens.append(unescape_token(line.split(None, 1)[0]))
+                yield line
+
+        detail = f"the rows do not match the header's {n} x {dim}"
+        try:
+            # max_rows lets loadtxt allocate the matrix once, not grow it
+            rows = np.loadtxt(lines(), dtype=np.float64, comments=None,
+                              ndmin=2, max_rows=n,
+                              converters={0: lambda s: 0.0}
+                              ) if n else np.empty((0, dim + 1))
+            if rows.shape == (n, dim + 1) and not src.read(1):
+                # a copy would hold a second matrix at the peak
+                return rows[:, 1:], tokens
+        except UnicodeDecodeError:
+            raise
+        except ValueError as exc:
+            detail = str(exc)
+    _check_text_rows(path, n, dim)
+    raise ValueError(f"{path}: {detail}")
+
+
+def _check_text_rows(path: str | Path, n: int, dim: int) -> None:
+    """Raise the first error a per-line ``float()`` reader finds in the
+    ``n`` rows of width ``dim`` after the header of ``path``."""
+    with open_text(path) as src:
+        src.readline()
         for i in range(n):
             line = src.readline()
             if not line:
@@ -142,15 +184,14 @@ def read_embeddings_text(path: str | Path) -> tuple[np.ndarray, list[str]]:
             if len(parts) != dim + 1:
                 raise ValueError(f"{path}: row {i} has {len(parts) - 1} values, "
                                  f"expected {dim}")
-            tokens.append(unescape_token(parts[0]))
             try:
-                rows[i] = [float(v) for v in parts[1:]]
+                for value in parts[1:]:
+                    float(value)
             except ValueError as exc:
                 raise ValueError(f"{path}: row {i}: {exc}") from None
         if src.read(1):
             raise ValueError(f"{path}: text after row {n - 1}: the header "
                              f"declares {n} rows")
-    return rows, tokens
 
 
 def write_embeddings_binary(rows: np.ndarray, tokens: Sequence[str],

@@ -1,5 +1,5 @@
-"""The benchmark workloads' seed-1 ``embed`` artifacts, pinned byte for byte,
-and the functions bitbench's tracer wraps or calls.
+"""The benchmark workloads' seed-1 ``embed`` and ``postproc`` artifacts,
+pinned byte for byte, and the functions bitbench's tracer wraps or calls.
 
 bitbench times these chains; a speed-up that changed their output would
 not be a speed-up of the same computation. A traced function that is
@@ -41,6 +41,13 @@ GOLDEN_EMB_SHA256 = {
     "zipf-cat": "384ef104ceb640241c119f399ef7e745"
                 "a280ff116a409b3648f481254a0718b4",
 }
+# SHA-256 of emb.bin, what postproc makes of emb.txt, for seed 1
+GOLDEN_BIN_SHA256 = {
+    "grammar-sum": "3361513f92b935235f53faf5a306ded3"
+                   "eded249c7131ea036acdc9db70a1ca0e",
+    "zipf-cat": "26f8bb8b9a6fc8dbd87ec97362fa1c48"
+                "4a895dc32ae32c95b94a4be357679621",
+}
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_EMB_SHA256))
@@ -53,11 +60,15 @@ def test_workload_embed_rows_match_golden(tmp_path, name):
     env = dict(os.environ, PYTHONPATH=str(src))
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"
-    for _, argv, _ in workload.chain()[:2]:  # count, embed
+    for _, argv, _ in workload.chain()[:3]:  # count, embed, postproc
         subprocess.run([sys.executable, "-m", "bitcipher.cli", *argv],
                        cwd=tmp_path, env=env, check=True, capture_output=True)
-    digest = hashlib.sha256((tmp_path / "emb.txt").read_bytes()).hexdigest()
-    assert digest == GOLDEN_EMB_SHA256[name]
+
+    def digest(artifact):
+        return hashlib.sha256((tmp_path / artifact).read_bytes()).hexdigest()
+
+    assert digest("emb.txt") == GOLDEN_EMB_SHA256[name]
+    assert digest("emb.bin") == GOLDEN_BIN_SHA256[name]
 
 
 def test_tracer_finds_every_function_it_wraps_or_calls():

@@ -13,9 +13,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 import bitcipher
+from bitcipher import cli
 from bitcipher.cli import main
-from bitcipher.embedio import (OOV_TOKEN, read_embeddings_text,
-                               write_embeddings_binary)
+from bitcipher.embedio import (OOV_TOKEN, read_embeddings,
+                               read_embeddings_text, write_embeddings_binary)
 
 CORPUS = """\
 the cat sat on the mat .
@@ -429,7 +430,8 @@ def test_export_text_round_trips_or_exits_2(token):
 
 
 @pytest.mark.parametrize("writer", ["text", "binary"])
-def test_writer_token_error_names_output_path(tmp_path, capsys, writer):
+def test_writer_token_error_names_output_path(tmp_path, corpus_file, capsys,
+                                              monkeypatch, writer):
     out_dir = tmp_path / "out"
     out_dir.mkdir()
     if writer == "text":
@@ -440,23 +442,41 @@ def test_writer_token_error_names_output_path(tmp_path, capsys, writer):
         argv = ["export", source, "--out", out, "--format", "text"]
         message = f"{out}: row 1 token 'a\\xa0b' is empty or holds whitespace"
     else:
-        # a corpus token that is the OOV row's label, kept whole by
-        # --no-split-punct, repeats a token of the binary file
-        corpus = tmp_path / "corpus.txt"
-        corpus.write_text("the <oov> cat\n")
+        # embed with a binary writer that refuses the rows it is handed
+        def refuse(rows, tokens, path):
+            raise ValueError(f"{path}: refused")
+
+        monkeypatch.setattr(cli, "write_embeddings_binary", refuse)
         freq = tmp_path / "freq.tsv"
-        assert main(["count", str(corpus), "--out", str(freq),
-                     "--no-split-punct"]) == 0
+        assert main(["count", str(corpus_file), "--out", str(freq)]) == 0
         out = out_dir / "emb.bin"
-        argv = ["embed", corpus, "--freq", freq, "--out", out, "--bits", "3",
-                "--format", "binary", "--no-split-punct"]
-        message = f"{out}: token collision after escaping: ['<oov>']"
+        argv = ["embed", corpus_file, "--freq", freq, "--out", out,
+                "--bits", "5", "--format", "binary"]
+        message = f"{out}: refused"
     capsys.readouterr()
     assert main([str(arg) for arg in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {message}")
     assert ".tmp" not in err
     assert list(out_dir.iterdir()) == []
+
+
+def test_corpus_token_spelled_like_the_oov_label_embeds(tmp_path, capsys):
+    # --no-split-punct keeps "<oov>" whole; it is reserved for the OOV row
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("a <oov> b\n")
+    freq, out = tmp_path / "freq.tsv", tmp_path / "emb.txt"
+    assert main(["count", str(corpus), "--out", str(freq),
+                 "--no-split-punct"]) == 0
+    capsys.readouterr()
+    assert main(["embed", str(corpus), "--freq", str(freq), "--out", str(out),
+                 "--bits", "4", "--mode", "sum", "--no-split-punct"]) == 0
+    err = capsys.readouterr().err
+    assert f"warning: {OOV_TOKEN} is the reserved label" in err
+    assert "truncated" not in err
+    rows, tokens = read_embeddings(out)
+    assert tokens == ["a", "b", OOV_TOKEN]
+    assert rows.shape == (3, 4)
 
 
 def test_probe_command_output_format(tmp_path, corpus_file, capsys):

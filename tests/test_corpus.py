@@ -7,10 +7,10 @@ from collections import defaultdict
 import pytest
 from hypothesis import given, strategies as st
 
-from bitcipher.corpus import (EncodingError, FrequencyTable, TokenizerConfig,
-                              build_vocabulary, count_frequencies,
-                              read_frequency_table, stream_documents,
-                              stream_tokens, tokenize_line,
+from bitcipher.corpus import (OOV_TOKEN, EncodingError, FrequencyTable,
+                              TokenizerConfig, build_vocabulary,
+                              count_frequencies, read_frequency_table,
+                              stream_documents, stream_tokens, tokenize_line,
                               write_frequency_table)
 
 
@@ -205,6 +205,15 @@ def test_vocabulary_max_vocab_cap():
     vocab = build_vocabulary(table, bits=5, max_vocab=2)
     assert vocab.size == 2
     assert vocab.row_for("c") == vocab.oov_index
+
+
+def test_vocabulary_never_keeps_the_oov_label():
+    # the most frequent token is the OOV row's label: it gets no row
+    table = FrequencyTable({OOV_TOKEN: (5, 1), "a": (3, 1), "b": (2, 1)},
+                           10, 1)
+    vocab = build_vocabulary(table, bits=2, max_vocab=2)
+    assert vocab.ranked == ("a", "b")
+    assert vocab.row_for(OOV_TOKEN) == vocab.oov_index
 
 
 def test_vocabulary_errors():

@@ -1,3 +1,7 @@
+import tempfile
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -119,3 +123,121 @@ def test_row_tokens_and_vocabulary_round_trip():
 def test_vocabulary_from_tokens_requires_oov_last():
     with pytest.raises(ValueError):
         vocabulary_from_tokens(["a", "b"])
+
+
+# ---------------------------------------------------------------------------
+# the text reader: the per-line reader it replaced, and its error messages
+# ---------------------------------------------------------------------------
+
+def reference_read_text(path):
+    """The per-line ``float()`` reader that numpy's ``loadtxt`` replaced,
+    kept as the oracle for valid files."""
+    with open(path, encoding="utf-8") as src:
+        n, dim = map(int, src.readline().split())
+        rows = np.empty((n, dim))
+        tokens = []
+        for i in range(n):
+            parts = src.readline().split()
+            assert len(parts) == dim + 1
+            tokens.append(unescape_token(parts[0]))
+            rows[i] = [float(v) for v in parts[1:]]
+        assert not src.read(1)
+    return rows, tokens
+
+
+VALUES = st.floats(allow_nan=False) | st.sampled_from(
+    [-0.0, 0.0, 5e-324, -1.5e-300, 2.5e300, 123456789.0])
+
+
+@st.composite
+def text_embedding_files(draw):
+    """A valid text embedding file: values written with ``%.6g`` or
+    ``repr``, fields split by runs of spaces and tabs, lines by LF or
+    CRLF, and tokens that need escaping."""
+    n, dim = draw(st.integers(1, 5)), draw(st.integers(0, 4))
+    fmt = draw(st.sampled_from(["%.6g", "%r"]))
+    gap = st.sampled_from([" ", "\t", "   ", " \t ", "\t\t"])
+    edge = st.sampled_from(["", " ", "\t", "  \t"])
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    lines = [f"{n} {dim}"]
+    for _ in range(n):
+        token = escape_token(draw(st.text("ab% \té", min_size=1, max_size=4)))
+        fields = [token] + [fmt % draw(VALUES) for _ in range(dim)]
+        line = fields[0]
+        for value in fields[1:]:
+            line += draw(gap) + value
+        lines.append(draw(edge) + line + draw(edge))
+    return eol.join(lines) + draw(st.sampled_from([eol, ""]))
+
+
+@given(text_embedding_files())
+def test_text_reader_matches_per_line_reference(content):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "emb.txt"
+        path.write_bytes(content.encode("utf-8"))
+        rows, tokens = read_embeddings_text(path)
+        want_rows, want_tokens = reference_read_text(path)
+    assert rows.dtype == np.float64
+    assert rows.shape == want_rows.shape
+    assert np.array_equal(rows, want_rows)
+    # bit-identical: -0.0 and 0.0 compare equal
+    assert np.array_equal(np.signbit(rows), np.signbit(want_rows))
+    assert tokens == want_tokens
+
+
+TEXT_ERRORS = {
+    "blank line": ("3 2\na 1 2\n\nb 3 4\n", "row 1 has -1 values, expected 2"),
+    "blank first row": ("2 2\n\na 1 2\n", "row 0 has -1 values, expected 2"),
+    "whitespace line": ("2 2\na 1 2\n \t \n",
+                        "row 1 has -1 values, expected 2"),
+    "short row": ("2 2\na 1 2\nb 3\n", "row 1 has 1 values, expected 2"),
+    "short first row": ("2 2\na 1\nb 3 4\n", "row 0 has 1 values, expected 2"),
+    "long row": ("2 2\na 1 2\nb 3 4 5\n", "row 1 has 3 values, expected 2"),
+    "long rows": ("2 2\na 1 2 3\nb 3 4 5\n", "row 0 has 3 values, expected 2"),
+    "too few rows": ("3 2\na 1 2\nb 3 4\n",
+                     "ends before row 2 of the 3 rows its header declares"),
+    "no rows": ("1 2\n",
+                "ends before row 0 of the 1 rows its header declares"),
+    "too many rows": ("1 2\na 1 2\nb 3 4\n",
+                      "text after row 0: the header declares 1 rows"),
+    "text after no rows": ("0 2\na 1 2\n",
+                           "text after row -1: the header declares 0 rows"),
+    "trailing blank line": ("1 2\na 1 2\n\n",
+                            "text after row 0: the header declares 1 rows"),
+    "bad float": ("2 2\na 1 2\nb 3 x\n",
+                  "row 1: could not convert string to float: 'x'"),
+    "hex": ("2 2\na 1 2\nb 0x10 4\n",
+            "row 1: could not convert string to float: '0x10'"),
+    "malformed header": ("2\na 1 2\n",
+                         "malformed header '2', expected '<rows> <dim>'"),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", sorted(TEXT_ERRORS))
+def test_text_reader_error_messages(tmp_path, case):
+    content, message = TEXT_ERRORS[case]
+    path = tmp_path / "emb.txt"
+    path.write_text(content)
+    with pytest.raises(ValueError) as info:
+        read_embeddings_text(path)
+    assert str(info.value) == f"{path}: {message}"
+
+
+def test_text_reader_refuses_underscore_digits_by_name(tmp_path):
+    # float() reads "1_0" as 10; numpy's parser, and so the reader, refuse it
+    path = tmp_path / "emb.txt"
+    path.write_text("2 2\na 1 2\nb 1_0 4\n")
+    with pytest.raises(ValueError) as info:
+        read_embeddings_text(path)
+    assert str(info.value).startswith(f"{path}: ")
+
+
+def test_text_reader_header_only_file(tmp_path):
+    path = tmp_path / "emb.txt"
+    path.write_text("0 3\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows, tokens = read_embeddings_text(path)
+    assert rows.shape == (0, 3)
+    assert tokens == []
