@@ -78,60 +78,49 @@ def tokenize_line(text: str, config: TokenizerConfig) -> list[str]:
     return _TOKEN.findall(text)
 
 
-def open_corpus(path: str | Path) -> BinaryIO:
-    """Open a corpus file for binary reading, transparently inflating gzip."""
-    fh = open(path, "rb")
-    magic = fh.read(2)
-    fh.seek(0)
-    if magic == GZIP_MAGIC:
-        return gzip.GzipFile(fileobj=fh, mode="rb")  # type: ignore[return-value]
-    return fh
-
-
-def _binary_stream(source) -> tuple[BinaryIO, bool]:
-    if isinstance(source, (str, Path)):
-        return open_corpus(source), True
+def _binary_stream(source) -> BinaryIO:
+    """Raw bytes as a stream, or a path opened for binary reading, inflating
+    gzip, which is told by its magic bytes."""
     if isinstance(source, (bytes, bytearray)):
-        return io.BytesIO(bytes(source)), True
-    return source, False
+        return io.BytesIO(source)
+    with open(source, "rb") as fh:
+        gzipped = fh.read(2) == GZIP_MAGIC
+    return gzip.open(source) if gzipped else open(source, "rb")
 
 
 def stream_documents(source, config: TokenizerConfig = TokenizerConfig()
                      ) -> Iterator[list[str]]:
     """Yield the tokens of each document in corpus order.
 
-    ``source`` may be a path, raw bytes, or a binary file object. With
-    line-bounded documents every line is a document, an empty one included;
-    with blank-line-bounded documents only blocks holding tokens are
-    yielded. Invalid UTF-8 raises :class:`EncodingError`, and truncated or
-    corrupt gzip a ``ValueError``; both name a path ``source`` and give the
-    byte offset (decompressed, for gzip).
+    ``source`` is a path (plain or gzip) or raw bytes. With line-bounded
+    documents every line is a document, an empty one included; with
+    blank-line-bounded documents only blocks holding tokens are yielded.
+    Invalid UTF-8 raises :class:`EncodingError`, and truncated or corrupt
+    gzip a ``ValueError``; both name a path ``source`` and give the byte
+    offset (decompressed, for gzip).
     """
-    stream, owned = _binary_stream(source)
     offset = 0
     block: list[str] = []
-    try:
-        for raw in stream:
-            try:
-                text = raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise EncodingError(offset + exc.start, source) from exc
-            offset += len(raw)
-            if config.doc_boundary == "line":
-                yield tokenize_line(text, config)
-            elif text.strip():
-                block.extend(tokenize_line(text, config))
-            elif block:
+    with _binary_stream(source) as stream:
+        try:
+            for raw in stream:
+                try:
+                    text = raw.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise EncodingError(offset + exc.start, source) from exc
+                offset += len(raw)
+                if config.doc_boundary == "line":
+                    yield tokenize_line(text, config)
+                elif text.strip():
+                    block.extend(tokenize_line(text, config))
+                elif block:
+                    yield block
+                    block = []
+            if block:
                 yield block
-                block = []
-        if block:
-            yield block
-    except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
-        raise ValueError(f"{source}: corrupt gzip data after decompressed "
-                         f"byte offset {offset}: {exc}") from exc
-    finally:
-        if owned:
-            stream.close()
+        except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
+            raise ValueError(f"{source}: corrupt gzip data after decompressed "
+                             f"byte offset {offset}: {exc}") from exc
 
 
 def stream_tokens(source, config: TokenizerConfig = TokenizerConfig()

@@ -12,6 +12,7 @@ the reserved token ``<oov>``.
 
 from __future__ import annotations
 
+import re
 import struct
 from collections import Counter
 from pathlib import Path
@@ -25,9 +26,11 @@ EMBED_VERSION = 1
 _BIN_HEADER = struct.Struct("<4sIII")
 
 # Characters that would break the whitespace-delimited text format. '%' is
-# escaped too so the mapping stays injective.
+# escaped too so the mapping stays injective; each direction is one pass.
 _ESCAPES = {"%": "%25", " ": "%20", "\t": "%09", "\n": "%0A", "\r": "%0D"}
 _UNESCAPES = {v: k for k, v in _ESCAPES.items()}
+_ESCAPE_TABLE = str.maketrans(_ESCAPES)
+_ESCAPED = re.compile("|".join(_UNESCAPES))
 
 
 class ByteReader:
@@ -65,22 +68,11 @@ class ByteReader:
 
 
 def escape_token(token: str) -> str:
-    out = token.replace("%", "%25")
-    for ch, repl in _ESCAPES.items():
-        if ch != "%":
-            out = out.replace(ch, repl)
-    return out
+    return token.translate(_ESCAPE_TABLE)
 
 
 def unescape_token(token: str) -> str:
-    parts = token.split("%25")
-    decoded = []
-    for part in parts:
-        for code, ch in _UNESCAPES.items():
-            if code != "%25":
-                part = part.replace(code, ch)
-        decoded.append(part)
-    return "%".join(decoded)
+    return _ESCAPED.sub(lambda m: _UNESCAPES[m.group()], token)
 
 
 def row_tokens(vocab: Vocabulary) -> list[str]:

@@ -17,13 +17,10 @@ from pathlib import Path
 from . import __version__
 
 
-def sha256_file(path: str | Path, chunk_size: int = 1 << 20) -> str:
+def sha256_file(path: str | Path) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as src:
-        while True:
-            chunk = src.read(chunk_size)
-            if not chunk:
-                break
+        while chunk := src.read(1 << 20):
             digest.update(chunk)
     return digest.hexdigest()
 

@@ -27,11 +27,6 @@ class PostprocReport:
     zero_rows: int = 0
 
 
-def _covariance(x: np.ndarray) -> np.ndarray:
-    centered = x - x.mean(axis=0)
-    return centered.T @ centered / (x.shape[0] - 1)
-
-
 def _condition(eigenvalues: np.ndarray) -> float:
     top = float(eigenvalues.max())
     bottom = float(eigenvalues.min())
@@ -72,7 +67,10 @@ def whiten(rows: np.ndarray, epsilon: float = DEFAULT_EPSILON,
     transform = (eigenvectors * scale) @ eigenvectors.T
     out = centered @ transform
 
-    post_eig = np.clip(np.linalg.eigvalsh(_covariance(out)), 0.0, None)
+    # the post-whitening covariance, from the spent centred buffer
+    np.subtract(out, out.mean(axis=0), out=centered)
+    post_cov = centered.T @ centered / (n - 1)
+    post_eig = np.clip(np.linalg.eigvalsh(post_cov), 0.0, None)
     report.post_covariance_condition = _condition(post_eig)
     report.steps.append("whiten")
     return out

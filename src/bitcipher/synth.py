@@ -61,49 +61,50 @@ LEXICON: dict[str, tuple[str, ...]] = {
 
 CATEGORIES = tuple(LEXICON)
 
+# Only these categories have word types held out of the probe's training data.
+OPEN_CLASSES = ("NOUN", "VERB", "ADJ", "ADV")
 
-def _noun_phrase(rng: random.Random, words) -> list[tuple[str, str]]:
+
+def _noun_phrase(rng: random.Random) -> list[tuple[str, str]]:
     if rng.random() < 0.15:
-        return [(rng.choice(words["PRON"]), "PRON")]
-    phrase = [(rng.choice(words["DET"]), "DET")]
+        return [(rng.choice(LEXICON["PRON"]), "PRON")]
+    phrase = [(rng.choice(LEXICON["DET"]), "DET")]
     if rng.random() < 0.45:
-        phrase.append((rng.choice(words["ADJ"]), "ADJ"))
+        phrase.append((rng.choice(LEXICON["ADJ"]), "ADJ"))
         if rng.random() < 0.15:
-            phrase.append((rng.choice(words["ADJ"]), "ADJ"))
-    phrase.append((rng.choice(words["NOUN"]), "NOUN"))
+            phrase.append((rng.choice(LEXICON["ADJ"]), "ADJ"))
+    phrase.append((rng.choice(LEXICON["NOUN"]), "NOUN"))
     return phrase
 
 
-def _prep_phrase(rng: random.Random, words) -> list[tuple[str, str]]:
-    return [(rng.choice(words["PREP"]), "PREP")] + _noun_phrase(rng, words)
+def _prep_phrase(rng: random.Random) -> list[tuple[str, str]]:
+    return [(rng.choice(LEXICON["PREP"]), "PREP")] + _noun_phrase(rng)
 
 
-def _clause(rng: random.Random, words) -> list[tuple[str, str]]:
-    clause = _noun_phrase(rng, words)
+def _clause(rng: random.Random) -> list[tuple[str, str]]:
+    clause = _noun_phrase(rng)
     if rng.random() < 0.25:
-        clause.append((rng.choice(words["ADV"]), "ADV"))
-    clause.append((rng.choice(words["VERB"]), "VERB"))
-    clause += _noun_phrase(rng, words)
+        clause.append((rng.choice(LEXICON["ADV"]), "ADV"))
+    clause.append((rng.choice(LEXICON["VERB"]), "VERB"))
+    clause += _noun_phrase(rng)
     if rng.random() < 0.35:
-        clause += _prep_phrase(rng, words)
+        clause += _prep_phrase(rng)
     if rng.random() < 0.15:
-        clause.append((rng.choice(words["ADV"]), "ADV"))
+        clause.append((rng.choice(LEXICON["ADV"]), "ADV"))
     return clause
 
 
-def generate_tagged_sentences(n_tokens: int, seed: int = 0,
-                              lexicon: dict[str, tuple[str, ...]] | None = None
+def generate_tagged_sentences(n_tokens: int, seed: int = 0
                               ) -> list[list[tuple[str, str]]]:
     """Sample tagged sentences until at least ``n_tokens`` tokens exist."""
-    words = lexicon if lexicon is not None else LEXICON
     rng = random.Random(seed)
     sentences: list[list[tuple[str, str]]] = []
     total = 0
     while total < n_tokens:
-        sentence = _clause(rng, words)
+        sentence = _clause(rng)
         if rng.random() < 0.2:
-            sentence.append((rng.choice(words["CONJ"]), "CONJ"))
-            sentence += _clause(rng, words)
+            sentence.append((rng.choice(LEXICON["CONJ"]), "CONJ"))
+            sentence += _clause(rng)
         end = rng.choice((".", ".", ".", "!", "?"))
         sentence.append((end, "PUNCT"))
         sentences.append(sentence)
@@ -116,25 +117,23 @@ def sentences_to_text(sentences: list[list[tuple[str, str]]]) -> str:
     return "\n".join(" ".join(tok for tok, _ in sent) for sent in sentences) + "\n"
 
 
-def split_types(seed: int = 0, holdout_fraction: float = 0.2,
-                categories: tuple[str, ...] = ("NOUN", "VERB", "ADJ", "ADV")
-                ) -> tuple[set[str], set[str]]:
+def split_types(seed: int = 0) -> tuple[set[str], set[str]]:
     """Partition word types into seen and held-out sets, per category.
 
-    Only open-class categories are held out; closed-class words (determiners,
-    prepositions, pronouns, conjunctions, punctuation) stay in the seen set
-    so the grammar remains representable on both sides.
+    A fifth of each of the :data:`OPEN_CLASSES` is held out; closed-class
+    words (determiners, prepositions, pronouns, conjunctions, punctuation)
+    stay in the seen set so the grammar remains representable on both sides.
     """
     rng = random.Random(seed)
     seen: set[str] = set()
     holdout: set[str] = set()
     for category, words in LEXICON.items():
-        if category not in categories:
+        if category not in OPEN_CLASSES:
             seen.update(words)
             continue
         shuffled = list(words)
         rng.shuffle(shuffled)
-        cut = max(1, int(len(shuffled) * holdout_fraction))
+        cut = max(1, int(len(shuffled) * 0.2))
         holdout.update(shuffled[:cut])
         seen.update(shuffled[cut:])
     return seen, holdout
@@ -142,11 +141,11 @@ def split_types(seed: int = 0, holdout_fraction: float = 0.2,
 
 def type_split_datasets(sentences: list[list[tuple[str, str]]],
                         holdout_types: set[str],
-                        dev_fraction: float = 0.1,
                         seed: int = 0) -> tuple[LabeledTokenDataset,
                                                 LabeledTokenDataset,
                                                 LabeledTokenDataset]:
-    """Token datasets where the test split covers only held-out word types.
+    """Token datasets where the test split covers only held-out word types,
+    and a tenth of the other tokens, shuffled, form the dev split.
 
     The probe therefore cannot score on the test split by memorizing type
     identities; it has to read category information out of the embedding.
@@ -161,10 +160,9 @@ def type_split_datasets(sentences: list[list[tuple[str, str]]],
             else:
                 train_seqs.append([(token, tag)])
     rng.shuffle(train_seqs)
-    n_dev = max(1, int(len(train_seqs) * dev_fraction))
+    n_dev = max(1, int(len(train_seqs) * 0.1))
     dev_seqs = train_seqs[:n_dev]
     train_seqs = train_seqs[n_dev:]
-    label_set = tuple(CATEGORIES)
-    return (LabeledTokenDataset(train_seqs, label_set, "train"),
-            LabeledTokenDataset(dev_seqs, label_set, "dev"),
-            LabeledTokenDataset(test_seqs, label_set, "test"))
+    return (LabeledTokenDataset(train_seqs, CATEGORIES, "train"),
+            LabeledTokenDataset(dev_seqs, CATEGORIES, "dev"),
+            LabeledTokenDataset(test_seqs, CATEGORIES, "test"))

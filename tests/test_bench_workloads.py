@@ -1,5 +1,5 @@
-"""The benchmark workloads' seed-1 ``embed`` and ``postproc`` artifacts,
-pinned byte for byte, and the functions bitbench's tracer wraps or calls.
+"""The benchmark workloads' seed-1 ``embed`` and ``postproc`` artifacts and
+their postprocessing reports, pinned byte for byte, and the functions bitbench's tracer wraps or calls.
 
 bitbench times these chains; a speed-up that changed their output would
 not be a speed-up of the same computation. A traced function that is
@@ -49,6 +49,19 @@ GOLDEN_BIN_SHA256 = {
                 "4a895dc32ae32c95b94a4be357679621",
 }
 
+# SHA-256 of the postprocessing reports (whitening conditions) for seed 1:
+# embed --postproc writes emb.txt.report.json, postproc emb.bin.report.json
+GOLDEN_REPORT_SHA256 = {
+    "grammar-sum": ("17dcc9c9cbcbfc4da12dba4fe3178e3e"
+                    "8c274562a36ef1bed25302dd9824db7a",
+                    "bfdce881d687b452cd956c0d135bb0c2"
+                    "72ddb9916043a92e24a1fc72aad01ac8"),
+    "zipf-cat": ("202d2a08b3dba5ce7f6f90332ec78bb2"
+                 "9e4c1edf652e1af590676b6855fad4cf",
+                 "5757c08df1384ffa0cd899d356a634bd"
+                 "b35d1de8412c396097d4e3941341a7ab"),
+}
+
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_EMB_SHA256))
 def test_workload_embed_rows_match_golden(tmp_path, name):
@@ -69,6 +82,8 @@ def test_workload_embed_rows_match_golden(tmp_path, name):
 
     assert digest("emb.txt") == GOLDEN_EMB_SHA256[name]
     assert digest("emb.bin") == GOLDEN_BIN_SHA256[name]
+    assert (digest("emb.txt.report.json"),
+            digest("emb.bin.report.json")) == GOLDEN_REPORT_SHA256[name]
 
 
 def test_tracer_finds_every_function_it_wraps_or_calls():

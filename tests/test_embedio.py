@@ -68,6 +68,51 @@ def test_escape_unescape_identity(token):
     assert "\n" not in escaped
 
 
+_ESCAPES = {"%": "%25", " ": "%20", "\t": "%09", "\n": "%0A", "\r": "%0D"}
+
+
+def _escape_by_passes(token):
+    """The multi-pass escaping the text format was first written with, kept
+    as the reference: '%' first, so no later code is escaped again."""
+    out = token.replace("%", "%25")
+    for ch, repl in _ESCAPES.items():
+        if ch != "%":
+            out = out.replace(ch, repl)
+    return out
+
+
+def _unescape_by_passes(token):
+    """The reference inverse: split on the escaped '%', decode the other
+    codes in each part, and join the parts with a literal '%'."""
+    decoded = []
+    for part in token.split("%25"):
+        for ch, code in _ESCAPES.items():
+            if ch != "%":
+                part = part.replace(code, ch)
+        decoded.append(part)
+    return "%".join(decoded)
+
+
+@pytest.mark.parametrize("token", ["%2520", "%%20", "%%250A", "%0a", "a%20b",
+                                   "", "%", "a b\tc\r\n%"])
+def test_escaping_matches_reference_passes(token):
+    assert escape_token(token) == _escape_by_passes(token)
+    assert unescape_token(token) == _unescape_by_passes(token)
+
+
+# single characters, and the codes with and without their '%', so that
+# nested codes such as "%2520" come up often
+_CODE_TEXT = st.lists(st.sampled_from(
+    list("%2509ADa \t\r\n") + [c[i:] for c in _ESCAPES.values()
+                                for i in (0, 1)]), max_size=12).map("".join)
+
+
+@given(_CODE_TEXT)
+def test_escaping_matches_reference_passes_on_code_text(token):
+    assert escape_token(token) == _escape_by_passes(token)
+    assert unescape_token(token) == _unescape_by_passes(token)
+
+
 def test_collision_after_escaping_rejected(tmp_path):
     rows = np.eye(2)
     with pytest.raises(ValueError, match="collision"):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from bitcipher.embedio import read_embeddings_text, write_embeddings_text
 from bitcipher.postprocess import (PostprocReport, center_and_normalize,
                                    pipeline, whiten)
 
@@ -146,3 +147,27 @@ def test_epsilon_must_be_finite_and_positive(epsilon):
     for step in (whiten, pipeline):
         with pytest.raises(ValueError, match=f"got {epsilon}"):
             step(rows, epsilon=epsilon)
+
+
+_STEPS = {
+    "whiten": whiten,
+    "center": center_and_normalize,
+    "center_row_mean": lambda rows: center_and_normalize(rows, row_mean=True),
+    "pipeline": pipeline,
+}
+
+
+@pytest.mark.parametrize("layout", ["contiguous", "read_text_view"])
+@pytest.mark.parametrize("step", sorted(_STEPS))
+def test_postprocessing_leaves_its_input_alone(tmp_path, step, layout):
+    rng = np.random.default_rng(10)
+    rows = rng.normal(size=(60, 9)) @ rng.normal(size=(9, 9))
+    if layout == "read_text_view":
+        # the reader returns a view past its token column
+        path = tmp_path / "emb.txt"
+        write_embeddings_text(rows, [f"t{i}" for i in range(60)], path)
+        rows, _ = read_embeddings_text(path)
+        assert not rows.flags.c_contiguous
+    before = rows.copy()
+    _STEPS[step](rows)
+    assert rows.tobytes() == before.tobytes()
