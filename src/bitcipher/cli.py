@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import traceback
 from dataclasses import asdict
@@ -18,7 +17,7 @@ from .corpus import (OOV_TOKEN, TokenizerConfig, build_vocabulary,
                      write_frequency_table)
 from .embedio import (read_embeddings, row_tokens, vocabulary_from_tokens,
                       write_embeddings_binary, write_embeddings_text)
-from .manifest import manifest_path, staged, write_json, write_manifest
+from .manifest import publish, write_json
 from .postprocess import DEFAULT_EPSILON, pipeline
 from .probe import ProbeHyperparams, evaluate_probe, load_conll, train_probe
 
@@ -47,18 +46,6 @@ def _report_path(out) -> Path:
     return Path(str(out) + ".report.json")
 
 
-def _check_paths(inputs: dict, outputs: dict, artifact) -> None:
-    """Refuse an output path that is an input or another output, before
-    anything is written; the manifest beside ``artifact`` is an output."""
-    taken = {os.path.realpath(path): "an input" for path in inputs.values()}
-    for path in [*outputs.values(), manifest_path(artifact)]:
-        real = os.path.realpath(path)
-        if real in taken:
-            raise ValueError(f"{path}: output path is also {taken[real]} "
-                             "of this command")
-        taken[real] = "another output"
-
-
 def _write_embeddings(rows, tokens, path, fmt: str) -> None:
     writer = write_embeddings_text if fmt == "text" else write_embeddings_binary
     writer(rows, tokens, path)
@@ -72,15 +59,12 @@ def _positive_int(text: str) -> int:
 
 
 def cmd_count(args) -> int:
-    inputs, outputs = {"corpus": args.corpus}, {"frequencies": args.out}
-    _check_paths(inputs, outputs, args.out)
     config = _tokenizer_config(args)
-    table = count_corpus(args.corpus, config)
-    with staged(outputs) as temp:
+    with publish(args.out, "count",
+                 {"tokenizer": asdict(config), "threads": args.threads},
+                 {"corpus": args.corpus}, {"frequencies": args.out}) as temp:
+        table = count_corpus(args.corpus, config)
         write_frequency_table(table, temp["frequencies"])
-    write_manifest(args.out, "count",
-                   {"tokenizer": asdict(config), "threads": args.threads},
-                   inputs, outputs)
     print(f"counted {table.total_tokens} tokens in {table.total_documents} "
           f"documents ({len(table.counts)} distinct) -> {args.out}")
     return EXIT_OK
@@ -93,86 +77,77 @@ def cmd_embed(args) -> int:
         outputs["cipher"] = args.save_cipher
     if args.postproc:
         outputs["postproc_report"] = _report_path(args.out)
-    _check_paths(inputs, outputs, args.out)
     config = _tokenizer_config(args)
-    table = read_frequency_table(args.freq)
-    vocab = build_vocabulary(table, args.bits, max_vocab=args.max_vocab)
-    distinct = len(table.counts)
-    if OOV_TOKEN in table.counts:
-        distinct -= 1
-        print(f"warning: {OOV_TOKEN} is the reserved label of the "
-              f"out-of-vocabulary row; its {table.counts[OOV_TOKEN][0]} "
-              "occurrences use that row", file=sys.stderr)
-    if vocab.size < distinct:
-        limit = (f"capacity 2^{args.bits} - 1"
-                 if vocab.size == cipher_capacity(args.bits)
-                 else f"--max-vocab {args.max_vocab}")
-        print(f"warning: vocabulary truncated to {vocab.size} of "
-              f"{distinct} distinct tokens ({limit})",
-              file=sys.stderr)
-    pair = build_cipher(vocab.size, args.bits)
-    context = ContextConfig(radius=args.radius, mode=args.mode,
-                            log_weighting=args.log,
-                            include_center=args.include_center)
-    tokens = 0
+    settings = dict(bits=args.bits, radius=args.radius, mode=args.mode,
+                    log=args.log, dtype=args.dtype,
+                    include_center=args.include_center,
+                    max_vocab=args.max_vocab, postproc=args.postproc,
+                    epsilon=args.epsilon if args.postproc else None,
+                    format=args.format, tokenizer=asdict(config))
+    with publish(args.out, "embed", settings, inputs, outputs) as temp:
+        table = read_frequency_table(args.freq)
+        vocab = build_vocabulary(table, args.bits, max_vocab=args.max_vocab)
+        distinct = len(table.counts)
+        if OOV_TOKEN in table.counts:
+            distinct -= 1
+            print(f"warning: {OOV_TOKEN} is the reserved label of the "
+                  f"out-of-vocabulary row; its {table.counts[OOV_TOKEN][0]} "
+                  "occurrences use that row", file=sys.stderr)
+        if vocab.size < distinct:
+            limit = (f"capacity 2^{args.bits} - 1"
+                     if vocab.size == cipher_capacity(args.bits)
+                     else f"--max-vocab {args.max_vocab}")
+            print(f"warning: vocabulary truncated to {vocab.size} of "
+                  f"{distinct} distinct tokens ({limit})",
+                  file=sys.stderr)
+        pair = build_cipher(vocab.size, args.bits)
+        context = ContextConfig(radius=args.radius, mode=args.mode,
+                                log_weighting=args.log,
+                                include_center=args.include_center)
+        tokens = 0
 
-    def documents():
-        nonlocal tokens
-        for document in stream_documents(args.corpus, config):
-            tokens += len(document)
-            yield document
+        def documents():
+            nonlocal tokens
+            for document in stream_documents(args.corpus, config):
+                tokens += len(document)
+                yield document
 
-    # No name holds the noisy vectors, so they are freed once aggregated
-    # rather than adding to the peak RSS of post-processing and writing.
-    rows = embed_corpus(documents(), vocab,
-                        build_noise_model(table, vocab, pair, mode=args.dtype),
-                        context)
-    if tokens != table.total_tokens:
-        raise ValueError(f"{args.corpus} holds {tokens} tokens but "
-                         f"{args.freq} was counted over "
-                         f"M={table.total_tokens}: the frequency table "
-                         f"belongs to another corpus or tokenizer")
-    if args.postproc:
-        rows, report = pipeline(rows, epsilon=args.epsilon)
-    with staged(outputs) as temp:
+        # No name holds the noisy vectors, so they are freed once aggregated
+        # rather than adding to the peak RSS of post-processing and writing.
+        rows = embed_corpus(documents(), vocab,
+                            build_noise_model(table, vocab, pair,
+                                              mode=args.dtype),
+                            context)
+        if tokens != table.total_tokens:
+            raise ValueError(f"{args.corpus} holds {tokens} tokens but "
+                             f"{args.freq} was counted over "
+                             f"M={table.total_tokens}: the frequency table "
+                             f"belongs to another corpus or tokenizer")
+        if args.postproc:
+            rows, report = pipeline(rows, epsilon=args.epsilon)
         _write_embeddings(rows, row_tokens(vocab), temp["embeddings"],
                           args.format)
         if args.save_cipher:
             save_cipher(pair, temp["cipher"], mode=args.dtype)
         if args.postproc:
             write_json(asdict(report), temp["postproc_report"])
-    write_manifest(args.out, "embed", {
-        "bits": args.bits,
-        "radius": args.radius,
-        "mode": args.mode,
-        "log": args.log,
-        "dtype": args.dtype,
-        "include_center": args.include_center,
-        "max_vocab": args.max_vocab,
-        "postproc": args.postproc,
-        "epsilon": args.epsilon if args.postproc else None,
-        "format": args.format,
-        "tokenizer": asdict(config),
-    }, inputs, outputs)
     print(f"embedded {vocab.size}+oov rows at dimension {rows.shape[1]} "
           f"-> {args.out}")
     return EXIT_OK
 
 
 def cmd_postproc(args) -> int:
-    inputs = {"embeddings": args.embeddings}
-    outputs = {"embeddings": args.out, "report": _report_path(args.out)}
-    _check_paths(inputs, outputs, args.out)
-    rows, tokens = read_embeddings(args.embeddings)
-    refined, report = pipeline(rows, epsilon=args.epsilon,
-                               row_mean=args.row_mean)
-    with staged(outputs) as temp:
+    with publish(args.out, "postproc",
+                 {"epsilon": args.epsilon, "row_mean": args.row_mean,
+                  "format": args.format},
+                 {"embeddings": args.embeddings},
+                 {"embeddings": args.out,
+                  "report": _report_path(args.out)}) as temp:
+        rows, tokens = read_embeddings(args.embeddings)
+        refined, report = pipeline(rows, epsilon=args.epsilon,
+                                   row_mean=args.row_mean)
         _write_embeddings(refined, tokens, temp["embeddings"], args.format)
         write_json(asdict(report), temp["report"])
-    write_manifest(args.out, "postproc", {"epsilon": args.epsilon,
-                                          "row_mean": args.row_mean,
-                                          "format": args.format},
-                   inputs, outputs)
     print(f"postprocessed {rows.shape[0]} rows ({', '.join(report.steps)}) "
           f"-> {args.out}")
     return EXIT_OK
@@ -181,39 +156,35 @@ def cmd_postproc(args) -> int:
 def cmd_probe(args) -> int:
     inputs = {"embeddings": args.embeddings, "train": args.train,
               "dev": args.dev, "test": args.test}
-    outputs = {"metrics": args.metrics_out}
-    _check_paths(inputs, outputs, args.metrics_out)
-    rows, tokens = read_embeddings(args.embeddings)
-    vocab = vocabulary_from_tokens(tokens)
-    train = load_conll(args.train, args.token_column, args.label_column, "train")
-    dev = load_conll(args.dev, args.token_column, args.label_column, "dev")
-    test = load_conll(args.test, args.token_column, args.label_column, "test")
     hp = ProbeHyperparams(hidden=args.hidden, dropout=args.dropout,
                           learning_rate=args.lr, momentum=args.momentum,
                           batch_size=args.batch_size, epochs=args.epochs,
                           patience=args.patience, seed=args.seed)
-    model = train_probe(rows, vocab, train, dev, hp)
-    metrics = evaluate_probe(model, rows, vocab, test)
-    print(metrics.summary_line())
-    payload = metrics.to_dict()
-    payload["hyperparams"] = asdict(hp)
-    with staged(outputs) as temp:
+    with publish(args.metrics_out, "probe",
+                 {"hyperparams": asdict(hp),
+                  "token_column": args.token_column,
+                  "label_column": args.label_column},
+                 inputs, {"metrics": args.metrics_out}) as temp:
+        rows, tokens = read_embeddings(args.embeddings)
+        vocab = vocabulary_from_tokens(tokens)
+        train, dev, test = (load_conll(inputs[split], args.token_column,
+                                       args.label_column, split)
+                            for split in ("train", "dev", "test"))
+        model = train_probe(rows, vocab, train, dev, hp)
+        metrics = evaluate_probe(model, rows, vocab, test)
+        print(metrics.summary_line())
+        payload = metrics.to_dict()
+        payload["hyperparams"] = asdict(hp)
         write_json(payload, temp["metrics"])
-    write_manifest(args.metrics_out, "probe",
-                   {"hyperparams": asdict(hp),
-                    "token_column": args.token_column,
-                    "label_column": args.label_column}, inputs, outputs)
     return EXIT_OK
 
 
 def cmd_export(args) -> int:
-    inputs, outputs = {"embeddings": args.embeddings}, {"embeddings": args.out}
-    _check_paths(inputs, outputs, args.out)
-    rows, tokens = read_embeddings(args.embeddings)
-    with staged(outputs) as temp:
+    with publish(args.out, "export", {"format": args.format},
+                 {"embeddings": args.embeddings},
+                 {"embeddings": args.out}) as temp:
+        rows, tokens = read_embeddings(args.embeddings)
         _write_embeddings(rows, tokens, temp["embeddings"], args.format)
-    write_manifest(args.out, "export", {"format": args.format},
-                   inputs, outputs)
     print(f"exported {rows.shape[0]} x {rows.shape[1]} as {args.format} "
           f"-> {args.out}")
     return EXIT_OK

@@ -146,7 +146,10 @@ def read_embeddings_text(path: str | Path) -> tuple[np.ndarray, list[str]]:
 
         detail = f"the rows do not match the header's {n} x {dim}"
         try:
-            # max_rows lets loadtxt allocate the matrix once, not grow it
+            # max_rows makes loadtxt allocate all n rows up front, so first
+            # refuse more rows than fit (each takes >= 2 (dim + 1) bytes)
+            if 2 * n * (dim + 1) > Path(path).stat().st_size:
+                raise ValueError(detail)
             rows = np.loadtxt(lines(), dtype=np.float64, comments=None,
                               ndmin=2, max_rows=n,
                               converters={0: lambda s: 0.0}

@@ -25,33 +25,60 @@ def sha256_file(path: str | Path) -> str:
     return digest.hexdigest()
 
 
-def manifest_path(artifact_path: str | Path) -> Path:
-    return Path(str(artifact_path) + ".manifest.json")
+def _check_outputs(inputs: dict, outputs: list) -> None:
+    """Refuse an output path that is an input, another output or a
+    directory, or that sits in a missing directory."""
+    taken = {os.path.realpath(path): "an input" for path in inputs.values()}
+    for path in outputs:
+        real = os.path.realpath(path)
+        if real in taken:
+            raise ValueError(f"{path}: output path is also {taken[real]} "
+                             "of this command")
+        if os.path.isdir(real):
+            raise ValueError(f"{path}: output path is a directory")
+        if not os.path.isdir(os.path.dirname(real)):
+            raise ValueError(f"{path}: output directory does not exist")
+        taken[real] = "another output"
 
 
 @contextmanager
-def staged(paths: dict):
-    """Yield a temporary path beside each of ``paths`` (name -> path) for
-    the block to write, and move each onto its path once the block ends.
-    If the block raises, the temporary files are removed and no path is
-    touched, so a crash never leaves a half-written artifact; a
-    ``ValueError`` message then names the path, not its temporary file."""
-    pid = os.getpid()
-    temps = {name: Path(path).with_name(f".{Path(path).name}.{pid}.tmp")
-             for name, path in paths.items()}
+def publish(artifact: str | Path, command: str, config: dict, inputs: dict,
+            outputs: dict):
+    """Check the output paths before any work, then yield a temporary path
+    beside each of ``outputs`` (name -> path) for the block to write. Once
+    the block ends, remove the old manifest beside ``artifact``, move each
+    output into place, and write the manifest last. On failure the
+    temporary files are removed and the error names the output: no file
+    changes before the moves, and no manifest is left after a failed one."""
+    manifest = Path(str(artifact) + ".manifest.json")
+    finals = [*outputs.values(), manifest]
+    _check_outputs(inputs, finals)
+    temps = [Path(path).with_name(f".{Path(path).name}.{os.getpid()}.tmp")
+             for path in finals]
+
+    def named(text):
+        for temp, final in zip(temps, finals):
+            text = text.replace(str(temp), str(final))
+        return text
+
     try:
-        yield temps
-        for name, temp in temps.items():
-            os.replace(temp, paths[name])
-    except ValueError as exc:
+        yield dict(zip(outputs, temps))
+        with suppress(FileNotFoundError):
+            os.unlink(manifest)
+        for temp, final in zip(temps, finals[:-1]):
+            os.replace(temp, final)
+        write_manifest(command, config, inputs, outputs, temps[-1])
+        os.replace(temps[-1], manifest)
+    except (OSError, ValueError) as exc:
         # Writers name the path they were handed; name the output instead.
-        for name, temp in temps.items():
-            exc.args = tuple(arg.replace(str(temp), str(paths[name]))
-                             if isinstance(arg, str) else arg
+        if not isinstance(exc, OSError):
+            exc.args = tuple(named(arg) if isinstance(arg, str) else arg
                              for arg in exc.args)
+        elif isinstance(exc.filename, (str, os.PathLike)):
+            exc.filename = named(os.fspath(exc.filename))
         raise
     finally:
-        for temp in temps.values():
+        for temp in temps:
             with suppress(FileNotFoundError):
                 os.unlink(temp)
 
@@ -63,16 +90,14 @@ def write_json(obj, path: str | Path) -> None:
         out.write("\n")
 
 
-def write_manifest(artifact: str | Path, command: str, config: dict,
-                   inputs: dict, outputs: dict) -> None:
-    """Write ``<artifact>.manifest.json``; ``inputs`` and ``outputs`` map
-    names to paths, each recorded with its SHA-256. Write it after the
-    outputs it vouches for."""
+def write_manifest(command: str, config: dict, inputs: dict, outputs: dict,
+                   path: str | Path) -> None:
+    """Write the manifest record to ``path``; ``inputs`` and ``outputs``
+    map names to paths, each recorded with its SHA-256. Write it after the
+    outputs it vouches for, as :func:`publish` does."""
     def files(paths):
         return {name: {"path": str(path), "sha256": sha256_file(path)}
                 for name, path in paths.items()}
 
-    record = {"command": command, "version": __version__, "config": config,
-              "inputs": files(inputs), "outputs": files(outputs)}
-    with staged({"manifest": manifest_path(artifact)}) as temp:
-        write_json(record, temp["manifest"])
+    write_json({"command": command, "version": __version__, "config": config,
+                "inputs": files(inputs), "outputs": files(outputs)}, path)

@@ -1,3 +1,4 @@
+import errno
 import gzip
 import json
 import os
@@ -190,21 +191,22 @@ def test_invalid_utf8_corpus_exits_2_naming_file(tmp_path, capsys, command):
 
 def _crashing_writer(path_arg):
     """A writer that writes part of its artifact to positional argument
-    ``path_arg``, then fails as a full disk would."""
+    ``path_arg``, then fails as a full disk would, naming that path."""
     def write(*args, **kwargs):
         with open(args[path_arg], "wb") as out:
             out.write(b"partial")
-        raise OSError(28, "No space left on device")
+        raise OSError(errno.ENOSPC, "No space left on device", args[path_arg])
     return write
 
 
-# command -> (writer that crashes, its path argument); embed and postproc
-# crash in their last writer, after the embeddings are written.
-CRASHES = {"count": ("write_frequency_table", 1),
-           "embed": ("save_cipher", 1),
-           "postproc": ("write_json", 1),
-           "probe": ("write_json", 1),
-           "export": ("write_embeddings_binary", 2)}
+# command -> (writer that crashes, its path argument, the output it writes);
+# embed and postproc crash in their last writer, after the embeddings are
+# written.
+CRASHES = {"count": ("write_frequency_table", 1, "freq.tsv"),
+           "embed": ("save_cipher", 1, "cipher.bin"),
+           "postproc": ("write_json", 1, "post.txt.report.json"),
+           "probe": ("write_json", 1, "metrics.json"),
+           "export": ("write_embeddings_binary", 2, "emb.bin")}
 
 
 @pytest.mark.parametrize("previous", [True, False], ids=["rerun", "fresh"])
@@ -233,10 +235,14 @@ def test_crashed_writer_leaves_no_artifact(tmp_path, corpus_file, monkeypatch,
     if previous:
         assert main(argv) == 0
     before = {p.name: p.read_bytes() for p in out.iterdir()}
-    writer, path_arg = CRASHES[command]
+    writer, path_arg, output = CRASHES[command]
     monkeypatch.setattr(f"bitcipher.cli.{writer}", _crashing_writer(path_arg))
+    capsys.readouterr()
     assert main(argv) == 2
-    assert "No space left on device" in capsys.readouterr().err
+    # the error names the output, not the temporary file it was written as
+    err = capsys.readouterr().err
+    assert f"No space left on device: '{out / output}'" in err
+    assert ".tmp" not in err
     # the previous run's artifacts and manifest are untouched, or nothing
     # appears; either way no temporary file is left behind
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
@@ -354,23 +360,98 @@ def _clash_argv(case, tmp_path, corpus_file, emb):
                   str(conll), "--test", str(conll),
                   "--metrics-out", str(conll)],
         "export": ["export", str(emb), "--out", str(emb), "--format", "text"],
+        # the test makes out.txt.report.json a directory
+        "embed_report_is_directory": embed + ["--out", out, "--postproc"],
+        "count_in_missing_directory": [
+            "count", str(corpus_file), "--out", str(tmp_path / "no" / "f.tsv")],
+        "embed_cipher_in_missing_directory": embed + [
+            "--out", out, "--save-cipher", str(tmp_path / "no" / "c.bin")],
     }[case]
+
+
+def _tree(root):
+    """Every file under ``root`` by relative path, with its bytes."""
+    return {str(p.relative_to(root)): p.read_bytes() if p.is_file() else None
+            for p in root.rglob("*")}
+
+
+def _not_read(*args, **kwargs):
+    raise AssertionError("an input was read before the outputs were checked")
 
 
 @pytest.mark.parametrize("case", [
     "count", "embed_over_corpus", "embed_cipher_over_out",
     "embed_cipher_over_report", "embed_cipher_over_manifest", "postproc",
-    "probe", "export"])
-def test_output_path_clash_exits_2(tmp_path, corpus_file, capsys, case):
+    "probe", "export", "embed_report_is_directory",
+    "count_in_missing_directory", "embed_cipher_in_missing_directory"])
+def test_output_path_clash_exits_2(tmp_path, corpus_file, capsys, monkeypatch,
+                                   case):
     code, emb = _run_embed(tmp_path, corpus_file, "emb.txt", "--bits", "5")
     assert code == 0
     (tmp_path / "data.conll").write_text(CONLL)
-    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    if case == "embed_report_is_directory":
+        (tmp_path / "out.txt.report.json").mkdir()
+    # the command fails with exit 1 if it reads an input
+    for reader in ("count_corpus", "read_frequency_table", "read_embeddings",
+                   "load_conll"):
+        monkeypatch.setattr(cli, reader, _not_read)
+    before = _tree(tmp_path)
     capsys.readouterr()
     assert main(_clash_argv(case, tmp_path, corpus_file, emb)) == 2
-    assert "output path is also" in capsys.readouterr().err
+    message = {
+        "embed_report_is_directory":
+            f"{tmp_path / 'out.txt.report.json'}: output path is a directory",
+        "count_in_missing_directory":
+            f"{tmp_path / 'no' / 'f.tsv'}: output directory does not exist",
+        "embed_cipher_in_missing_directory":
+            f"{tmp_path / 'no' / 'c.bin'}: output directory does not exist",
+    }.get(case, "output path is also")
+    assert message in capsys.readouterr().err
     # no input changed and nothing was written, manifests included
-    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+    assert _tree(tmp_path) == before
+
+
+@pytest.mark.parametrize("command", ["embed", "postproc"])
+def test_failed_move_leaves_no_manifest(tmp_path, corpus_file, capsys,
+                                        monkeypatch, command):
+    code, emb = _run_embed(tmp_path, corpus_file, "emb.txt", "--bits", "5")
+    assert code == 0
+    out = tmp_path / "out"
+    out.mkdir()
+    # command -> (first run's flags, second run's flags, second output);
+    # the second run writes a different first output
+    first, second, moved_second = {
+        "embed": (["--bits", "5"], ["--bits", "4"], "cipher.bin"),
+        "postproc": (["--row-mean"], [], "res.txt.report.json"),
+    }[command]
+    base = {"embed": ["embed", str(corpus_file), "--freq",
+                      str(tmp_path / "freq.tsv"), "--out", str(out / "res.txt"),
+                      "--save-cipher", str(out / "cipher.bin")],
+            "postproc": ["postproc", str(emb), "--out",
+                         str(out / "res.txt")]}[command]
+    assert main(base + first) == 0
+    before = _tree(out)
+    replace, moves = os.replace, []
+
+    def fail_second_move(src, dst):
+        moves.append(dst)
+        if len(moves) == 2:
+            raise OSError(errno.EIO, "Input/output error", src)
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", fail_second_move)
+    capsys.readouterr()
+    assert main(base + second) == 2
+    err = capsys.readouterr().err
+    assert f"Input/output error: '{out / moved_second}'" in err
+    assert ".tmp" not in err
+    after = _tree(out)
+    # the first output moved and changed, the second did not move, and no
+    # manifest vouches for either; no temporary file is left
+    assert after["res.txt"] != before["res.txt"]
+    assert after[moved_second] == before[moved_second]
+    assert sorted(after) == sorted(name for name in before
+                                   if not name.endswith(".manifest.json"))
 
 
 def test_postproc_command(tmp_path, corpus_file):
@@ -612,6 +693,8 @@ def test_non_finite_embeddings_exit_2(tmp_path, corpus_file, capsys, case,
     ("long_header", "malformed header '16 5 1'"),
     ("non_numeric", "row 1: could not convert string to float: 'zz'"),
     ("cut_short", "ends before row 13 of the 16 rows"),
+    # refused before numpy allocates the rows the header declares
+    ("overstated_header", "ends before row 16 of the 100000000000 rows"),
 ])
 def test_malformed_text_embeddings_exit_2(tmp_path, corpus_file, capsys,
                                           command, case, message):
@@ -630,6 +713,8 @@ def test_malformed_text_embeddings_exit_2(tmp_path, corpus_file, capsys,
         lines[0] = "16"
     elif case == "long_header":
         lines[0] = "16 5 1"
+    elif case == "overstated_header":
+        lines[0] = "100000000000 5"
     elif case == "non_numeric":
         parts = lines[2].split()
         parts[3] = "zz"  # row 1, column 2
