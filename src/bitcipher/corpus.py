@@ -251,11 +251,17 @@ def read_frequency_table(path: str | Path) -> FrequencyTable:
                 row = (int(f), int(d))
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: malformed row {line!r}") from exc
-            if not 1 <= row[1] <= row[0] <= total_tokens:
+            if not (1 <= row[1] <= row[0] <= total_tokens
+                    and row[1] <= total_documents):
                 raise ValueError(f"{path}:{lineno}: counts f={f} d={d} break "
-                                 f"1 <= d <= f <= M={total_tokens}")
+                                 f"1 <= d <= f <= M={total_tokens} and "
+                                 f"d <= D={total_documents}")
             if token in counts:
                 raise ValueError(f"{path}:{lineno}: token {token!r} repeats "
                                  "an earlier row")
             counts[token] = row
+    total = sum(f for f, _ in counts.values())
+    if total != total_tokens:
+        raise ValueError(f"{path}: the f column sums to {total}, but the "
+                         f"header declares M={total_tokens}")
     return FrequencyTable(counts, total_tokens, total_documents)

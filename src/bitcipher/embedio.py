@@ -176,6 +176,8 @@ def _check_text_rows(path: str | Path, n: int, dim: int) -> None:
                 raise ValueError(f"{path}: ends before row {i} of the {n} "
                                  "rows its header declares")
             parts = line.split()
+            if not parts:
+                raise ValueError(f"{path}: row {i} is blank")
             if len(parts) != dim + 1:
                 raise ValueError(f"{path}: row {i} has {len(parts) - 1} values, "
                                  f"expected {dim}")
@@ -185,6 +187,9 @@ def _check_text_rows(path: str | Path, n: int, dim: int) -> None:
             except ValueError as exc:
                 raise ValueError(f"{path}: row {i}: {exc}") from None
         if src.read(1):
+            if not n:
+                raise ValueError(f"{path}: text after the header, which "
+                                 "declares 0 rows")
             raise ValueError(f"{path}: text after row {n - 1}: the header "
                              f"declares {n} rows")
 

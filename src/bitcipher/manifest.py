@@ -84,10 +84,14 @@ def publish(artifact: str | Path, command: str, config: dict, inputs: dict,
 
 
 def write_json(obj, path: str | Path) -> None:
-    """Write ``obj`` as sorted, indented JSON with a trailing newline."""
+    """Write ``obj`` as sorted, indented JSON with a trailing newline; a NaN
+    or infinity, which standard JSON cannot hold, raises ``ValueError``."""
+    try:
+        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     with open(path, "w", encoding="utf-8", newline="\n") as out:
-        json.dump(obj, out, indent=2, sort_keys=True)
-        out.write("\n")
+        out.write(text + "\n")
 
 
 def write_manifest(command: str, config: dict, inputs: dict, outputs: dict,

@@ -27,10 +27,11 @@ class PostprocReport:
     zero_rows: int = 0
 
 
-def _condition(eigenvalues: np.ndarray) -> float:
+def _condition(eigenvalues: np.ndarray) -> float | None:
+    """max / min eigenvalue; None, not infinity, for a singular matrix."""
     top = float(eigenvalues.max())
     bottom = float(eigenvalues.min())
-    return np.inf if bottom <= 0 else top / bottom
+    return None if bottom <= 0 else top / bottom
 
 
 def whiten(rows: np.ndarray, epsilon: float = DEFAULT_EPSILON,

@@ -19,24 +19,17 @@ class LabeledTokenDataset:
     """Token sequences with one label per token.
 
     ``label_set`` holds the distinct labels in first-appearance order, which
-    makes the label-to-index mapping deterministic for a given file.
+    makes the label-to-index mapping deterministic for a given file;
+    ``path``, the file read, if any, is named in error messages.
     """
 
     sequences: list[list[tuple[str, str]]]
     label_set: tuple[str, ...]
     split: str = ""
+    path: str = ""
 
     def __len__(self) -> int:
         return sum(len(seq) for seq in self.sequences)
-
-    def tokens_and_labels(self) -> tuple[list[str], list[str]]:
-        tokens: list[str] = []
-        labels: list[str] = []
-        for seq in self.sequences:
-            for token, label in seq:
-                tokens.append(token)
-                labels.append(label)
-        return tokens, labels
 
 
 def load_conll(path, token_column: int = 0, label_column: int = -1,
@@ -83,7 +76,7 @@ def load_conll(path, token_column: int = 0, label_column: int = -1,
             current.append((token, label))
     if current:
         sequences.append(current)
-    return LabeledTokenDataset(sequences, tuple(label_set), split)
+    return LabeledTokenDataset(sequences, tuple(label_set), split, str(path))
 
 
 @dataclass(frozen=True)
@@ -123,22 +116,21 @@ def _log_softmax(z: np.ndarray) -> np.ndarray:
 
 
 class ProbeModel:
-    """2-layer MLP over frozen embedding features."""
+    """2-layer MLP over frozen embedding features; ``params`` holds its
+    weights ``w1``, ``b1``, ``w2`` and ``b2``."""
 
-    def __init__(self, dim: int, n_labels: int, label_set: tuple[str, ...],
+    def __init__(self, dim: int, label_set: tuple[str, ...],
                  hp: ProbeHyperparams, rng: np.random.Generator):
         self.hp = hp
         self.label_set = label_set
         self.train_loss: list[float] = []
-        self.w1 = rng.normal(0.0, np.sqrt(2.0 / dim), size=(dim, hp.hidden))
-        self.b1 = np.zeros(hp.hidden)
-        self.w2 = rng.normal(0.0, np.sqrt(2.0 / hp.hidden),
-                             size=(hp.hidden, n_labels))
-        self.b2 = np.zeros(n_labels)
-
-    @property
-    def params(self) -> dict[str, np.ndarray]:
-        return {"w1": self.w1, "b1": self.b1, "w2": self.w2, "b2": self.b2}
+        self.params = {
+            "w1": rng.normal(0.0, np.sqrt(2.0 / dim), size=(dim, hp.hidden)),
+            "b1": np.zeros(hp.hidden),
+            "w2": rng.normal(0.0, np.sqrt(2.0 / hp.hidden),
+                             size=(hp.hidden, len(label_set))),
+            "b2": np.zeros(len(label_set)),
+        }
 
     def _hidden(self, x: np.ndarray) -> np.ndarray:
         """LeakyReLU(x @ w1 + b1), computed in one buffer.
@@ -147,13 +139,14 @@ class ProbeModel:
         ``where(z > 0, z, slope*z)`` bit for bit, without the per-element
         branch that mispredicts on random signs.
         """
-        h = x @ self.w1
-        h += self.b1
+        h = x @ self.params["w1"]
+        h += self.params["b1"]
         return np.maximum(h, self.hp.leaky_slope * h, out=h)
 
     def log_proba(self, x: np.ndarray) -> np.ndarray:
         """Forward pass with dropout disabled (deterministic)."""
-        return _log_softmax(self._hidden(x) @ self.w2 + self.b2)
+        return _log_softmax(self._hidden(x) @ self.params["w2"]
+                            + self.params["b2"])
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         return self.log_proba(x).argmax(axis=1)
@@ -174,7 +167,8 @@ class ProbeModel:
             a1 *= mask
         else:
             mask = None
-        logp = _log_softmax(a1 @ self.w2 + self.b2)
+        w2 = self.params["w2"]
+        logp = _log_softmax(a1 @ w2 + self.params["b2"])
         batch = x.shape[0]
         loss = -logp[np.arange(batch), y].mean()
 
@@ -185,7 +179,7 @@ class ProbeModel:
             "w2": a1.T @ dz2,
             "b2": dz2.sum(axis=0),
         }
-        da1 = dz2 @ self.w2.T
+        da1 = dz2 @ w2.T
         if mask is not None:
             da1 *= mask
         da1 *= np.maximum(pos, self.hp.leaky_slope)  # LeakyReLU derivative
@@ -195,12 +189,6 @@ class ProbeModel:
 
     def snapshot(self) -> dict[str, np.ndarray]:
         return {k: v.copy() for k, v in self.params.items()}
-
-    def restore(self, state: dict[str, np.ndarray]) -> None:
-        self.w1 = state["w1"].copy()
-        self.b1 = state["b1"].copy()
-        self.w2 = state["w2"].copy()
-        self.b2 = state["b2"].copy()
 
 
 @dataclass
@@ -227,24 +215,24 @@ class ProbeMetrics:
         }
 
 
-def _featurize(rows: np.ndarray, vocab: Vocabulary,
-               tokens: list[str]) -> np.ndarray:
-    index = vocab.index
-    oov = vocab.oov_index
-    idx = [index.get(t, index.get(t.lower(), oov)) for t in tokens]
-    return np.asarray(rows[idx], dtype=np.float64)
-
-
-def _label_ids(labels: list[str], label_set: tuple[str, ...],
-               split_name: str) -> np.ndarray:
-    mapping = {label: i for i, label in enumerate(label_set)}
-    ids = np.empty(len(labels), dtype=np.int64)
-    for i, label in enumerate(labels):
-        if label not in mapping:
-            raise ValueError(f"label {label!r} in {split_name or 'evaluation'} "
-                             "split was never seen in training")
-        ids[i] = mapping[label]
-    return ids
+def _examples(rows: np.ndarray, vocab: Vocabulary, data: LabeledTokenDataset,
+              label_set: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Features and label ids of the tokens of ``data``, which must hold one;
+    a token falls back to its lowercase form, then to the OOV row."""
+    where = f"{data.path}: " if data.path else ""
+    split = data.split or "a"
+    pairs = [pair for seq in data.sequences for pair in seq]
+    if not pairs:
+        raise ValueError(f"{where}{split} split holds no tokens")
+    ids = {label: i for i, label in enumerate(label_set)}
+    try:
+        y = np.array([ids[label] for _, label in pairs], dtype=np.int64)
+    except KeyError as exc:
+        raise ValueError(f"{where}label {exc.args[0]!r} in {split} split was "
+                         "never seen in training") from None
+    index, oov = vocab.index, vocab.oov_index
+    idx = [index.get(t, index.get(t.lower(), oov)) for t, _ in pairs]
+    return np.asarray(rows[idx], dtype=np.float64), y
 
 
 def train_probe(rows: np.ndarray, vocab: Vocabulary,
@@ -253,28 +241,20 @@ def train_probe(rows: np.ndarray, vocab: Vocabulary,
     """Fit the probe on frozen features, keeping the best-dev checkpoint.
 
     Training stops early once dev accuracy has not improved for
-    ``hp.patience`` consecutive epochs. With the same seed and data the run
-    is reproducible at equal thread counts.
+    ``hp.patience`` consecutive epochs; with ``dev=None`` it runs every
+    epoch and keeps the last. An empty split raises ``ValueError``. With the
+    same seed and data the run is reproducible at equal thread counts.
     """
-    tokens, labels = train.tokens_and_labels()
-    if not tokens:
-        raise ValueError("training split is empty")
-    x_train = _featurize(rows, vocab, tokens)
-    y_train = _label_ids(labels, train.label_set, "train")
-
+    x_train, y_train = _examples(rows, vocab, train, train.label_set)
     x_dev = y_dev = None
-    if dev is not None and len(dev) > 0:
-        dev_tokens, dev_labels = dev.tokens_and_labels()
-        x_dev = _featurize(rows, vocab, dev_tokens)
-        y_dev = _label_ids(dev_labels, train.label_set, dev.split or "dev")
+    if dev is not None:
+        x_dev, y_dev = _examples(rows, vocab, dev, train.label_set)
 
     rng = np.random.default_rng(hp.seed)
-    model = ProbeModel(x_train.shape[1], len(train.label_set),
-                       train.label_set, hp, rng)
+    model = ProbeModel(x_train.shape[1], train.label_set, hp, rng)
     velocity = {k: np.zeros_like(v) for k, v in model.params.items()}
 
     best_acc = -1.0
-    best_state = model.snapshot()
     epochs_since_best = 0
     history: list[float] = []
     n = x_train.shape[0]
@@ -306,7 +286,7 @@ def train_probe(rows: np.ndarray, vocab: Vocabulary,
             epochs_since_best += 1
             if epochs_since_best >= hp.patience:
                 break
-    model.restore(best_state)
+    model.params = best_state
     model.train_loss = history
     return model
 
@@ -332,9 +312,7 @@ def evaluate_probe(model: ProbeModel, rows: np.ndarray,
                    vocab: Vocabulary,
                    test: LabeledTokenDataset) -> ProbeMetrics:
     """Token-level accuracy and macro-F1 (percent), dropout disabled."""
-    tokens, labels = test.tokens_and_labels()
-    x = _featurize(rows, vocab, tokens)
-    y = _label_ids(labels, model.label_set, test.split or "test")
+    x, y = _examples(rows, vocab, test, model.label_set)
     pred = model.predict(x)
     accuracy = 100.0 * float((pred == y).mean())
     scores = _per_label_scores(y, pred, len(model.label_set))

@@ -251,7 +251,7 @@ def test_criterion_7_gradient_check():
     start = time.monotonic()
     rng = np.random.default_rng(77)
     hp = ProbeHyperparams(hidden=6, dropout=0.5, seed=7)
-    model = ProbeModel(9, 4, ("a", "b", "c", "d"), hp, rng)
+    model = ProbeModel(9, ("a", "b", "c", "d"), hp, rng)
     x = rng.normal(size=(10, 9))
     y = rng.integers(0, 4, size=10)
     _, grads = model.loss_and_grads(x, y)  # dropout off without an rng

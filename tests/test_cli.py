@@ -632,6 +632,79 @@ def test_probe_rejects_out_of_range_hyperparams(tmp_path, corpus_file,
     assert not Path(str(metrics_out) + ".manifest.json").exists()
 
 
+@pytest.mark.parametrize("split,content,message", [
+    ("train", "", "train split holds no tokens"),
+    ("dev", "", "dev split holds no tokens"),
+    ("dev", "-DOCSTART- O\n\n", "dev split holds no tokens"),
+    ("test", "", "test split holds no tokens"),
+    ("dev", "the XX\n", "label 'XX' in dev split was never seen in training"),
+    ("test", "the XX\n",
+     "label 'XX' in test split was never seen in training"),
+], ids=["empty_train", "empty_dev", "docstart_only_dev", "empty_test",
+        "unseen_dev_label", "unseen_test_label"])
+def test_probe_data_errors_exit_2_naming_file(tmp_path, corpus_file, capsys,
+                                              split, content, message):
+    code, emb = _run_embed(tmp_path, corpus_file, "emb.txt",
+                           "--bits", "5", "--radius", "2", "--mode", "sum")
+    assert code == 0
+    conll, bad = tmp_path / "data.conll", tmp_path / "bad.conll"
+    conll.write_text(CONLL)
+    bad.write_text(content)
+    files = dict.fromkeys(("train", "dev", "test"), conll) | {split: bad}
+    metrics_out = tmp_path / "metrics.json"
+    capsys.readouterr()
+    assert main(["probe", str(emb), "--train", str(files["train"]),
+                 "--dev", str(files["dev"]), "--test", str(files["test"]),
+                 "--metrics-out", str(metrics_out), "--epochs", "2"]) == 2
+    assert f"error: {bad}: {message}\n" in capsys.readouterr().err
+    assert not metrics_out.exists()
+    assert not Path(str(metrics_out) + ".manifest.json").exists()
+
+
+def test_probe_non_finite_metrics_exit_2_naming_output(tmp_path, corpus_file,
+                                                       capsys, monkeypatch):
+    code, emb = _run_embed(tmp_path, corpus_file, "emb.txt", "--bits", "5")
+    assert code == 0
+    conll = tmp_path / "data.conll"
+    conll.write_text(CONLL)
+    train = cli.train_probe
+
+    def diverged(*args, **kwargs):
+        model = train(*args, **kwargs)
+        model.train_loss[-1] = float("nan")
+        return model
+
+    monkeypatch.setattr(cli, "train_probe", diverged)
+    metrics_out = tmp_path / "metrics.json"
+    capsys.readouterr()
+    assert main(["probe", str(emb), "--train", str(conll), "--dev", str(conll),
+                 "--test", str(conll), "--metrics-out", str(metrics_out),
+                 "--epochs", "2"]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {metrics_out}: Out of range float values" in err
+    assert ".tmp" not in err
+    assert not metrics_out.exists()
+    assert not Path(str(metrics_out) + ".manifest.json").exists()
+
+
+def test_degenerate_postproc_report_is_standard_json(tmp_path):
+    # a constant column is a zero-variance direction: the covariance is
+    # singular, and its condition number is reported as null, not Infinity
+    rows = np.random.default_rng(0).normal(size=(50, 4))
+    rows[:, 2] = 1.0
+    emb, out = tmp_path / "emb.bin", tmp_path / "post.txt"
+    write_embeddings_binary(rows, [f"w{i}" for i in range(50)], emb)
+    assert main(["postproc", str(emb), "--out", str(out)]) == 0
+
+    def refuse(constant):
+        raise AssertionError(f"non-standard JSON constant {constant}")
+
+    text = Path(str(out) + ".report.json").read_text()
+    report = json.loads(text, parse_constant=refuse)
+    assert report["degenerate_directions"] == 1
+    assert report["pre_covariance_condition"] is None
+
+
 def _poison_embeddings(tmp_path, corpus_file, case):
     """An embedding file whose row 1 holds one non-finite value."""
     code, emb = _run_embed(tmp_path, corpus_file, "emb.txt",

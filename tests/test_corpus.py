@@ -7,6 +7,7 @@ from collections import defaultdict
 import pytest
 from hypothesis import given, strategies as st
 
+from bitcipher.cli import main
 from bitcipher.corpus import (OOV_TOKEN, EncodingError, FrequencyTable,
                               TokenizerConfig, build_vocabulary,
                               count_frequencies, read_frequency_table,
@@ -273,9 +274,11 @@ def test_counting_deterministic(write_corpus):
     ("#M=5 D=2\ntok\t-1\t1\n", 2, "counts f=-1 d=1 break"),
     ("#M=5 D=2\ntok\t2\t3\n", 2, "counts f=2 d=3 break"),
     ("#M=5 D=2\ntok\t6\t1\n", 2, "counts f=6 d=1 break"),
+    ("#M=5 D=2\ntok\t5\t3\n", 2, "counts f=5 d=3 break 1 <= d <= f <= M=5 "
+     "and d <= D=2"),
 ], ids=["no_d", "non_integer", "negative", "no_hash", "empty",
         "repeated_token", "bad_row", "zero_counts", "negative_f",
-        "d_above_f", "f_above_m"])
+        "d_above_f", "f_above_m", "d_above_D"])
 def test_read_frequency_table_names_path_and_line(tmp_path, text, line,
                                                   message):
     path = tmp_path / "freq.tsv"
@@ -284,3 +287,26 @@ def test_read_frequency_table_names_path_and_line(tmp_path, text, line,
         read_frequency_table(path)
     assert str(exc.value).startswith(f"{path}:{line}: ")
     assert message in str(exc.value)
+
+
+@pytest.mark.parametrize("row,total", [("cat\t9\t2", 26), ("the\t15\t3", 18)],
+                         ids=["f_raised_by_7", "f_lowered_by_1"])
+def test_frequency_rows_must_sum_to_the_header(tmp_path, capsys, row, total):
+    table = FrequencyTable({"the": (16, 3), "cat": (2, 2), "sat": (1, 1)},
+                           19, 3)
+    path = tmp_path / "freq.tsv"
+    write_frequency_table(table, path)
+    name = row.split("\t")[0]
+    path.write_text(re.sub(f"^{name}\t.*$", row, path.read_text(),
+                           flags=re.M))
+    with pytest.raises(ValueError) as exc:
+        read_frequency_table(path)
+    assert str(exc.value) == (f"{path}: the f column sums to {total}, but "
+                              "the header declares M=19")
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("the the cat\n")
+    out = tmp_path / "emb.txt"
+    assert main(["embed", str(corpus), "--freq", str(path), "--out", str(out),
+                 "--bits", "4"]) == 2
+    assert f"error: {exc.value}" in capsys.readouterr().err
+    assert not out.exists()

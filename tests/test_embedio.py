@@ -231,10 +231,9 @@ def test_text_reader_matches_per_line_reference(content):
 
 
 TEXT_ERRORS = {
-    "blank line": ("3 2\na 1 2\n\nb 3 4\n", "row 1 has -1 values, expected 2"),
-    "blank first row": ("2 2\n\na 1 2\n", "row 0 has -1 values, expected 2"),
-    "whitespace line": ("2 2\na 1 2\n \t \n",
-                        "row 1 has -1 values, expected 2"),
+    "blank line": ("3 2\na 1 2\n\nb 3 4\n", "row 1 is blank"),
+    "blank first row": ("2 2\n\na 1 2\n", "row 0 is blank"),
+    "whitespace line": ("2 2\na 1 2\n \t \n", "row 1 is blank"),
     "short row": ("2 2\na 1 2\nb 3\n", "row 1 has 1 values, expected 2"),
     "short first row": ("2 2\na 1\nb 3 4\n", "row 0 has 1 values, expected 2"),
     "long row": ("2 2\na 1 2\nb 3 4 5\n", "row 1 has 3 values, expected 2"),
@@ -246,7 +245,7 @@ TEXT_ERRORS = {
     "too many rows": ("1 2\na 1 2\nb 3 4\n",
                       "text after row 0: the header declares 1 rows"),
     "text after no rows": ("0 2\na 1 2\n",
-                           "text after row -1: the header declares 0 rows"),
+                           "text after the header, which declares 0 rows"),
     "trailing blank line": ("1 2\na 1 2\n\n",
                             "text after row 0: the header declares 1 rows"),
     "bad float": ("2 2\na 1 2\nb 3 x\n",

@@ -82,7 +82,7 @@ def test_load_conll_ragged_row_reports_line(tmp_path):
 
 def test_log_softmax_outputs_normalize():
     rng = np.random.default_rng(0)
-    model = ProbeModel(6, 4, ("a", "b", "c", "d"),
+    model = ProbeModel(6, ("a", "b", "c", "d"),
                        ProbeHyperparams(hidden=8), rng)
     logp = model.log_proba(rng.normal(size=(20, 6)))
     sums = np.exp(logp).sum(axis=1)
@@ -92,7 +92,7 @@ def test_log_softmax_outputs_normalize():
 def test_gradients_match_finite_differences():
     rng = np.random.default_rng(1)
     hp = ProbeHyperparams(hidden=6, dropout=0.5, seed=1)
-    model = ProbeModel(8, 3, ("a", "b", "c"), hp, rng)
+    model = ProbeModel(8, ("a", "b", "c"), hp, rng)
     x = rng.normal(size=(10, 8))
     y = rng.integers(0, 3, size=10)
     _, grads = model.loss_and_grads(x, y)  # dropout disabled without rng
@@ -160,10 +160,10 @@ def test_all_one_class_predictions_metrics():
     matrix = _embedding(2, 4, rows=np.zeros((3, 4)))
     vocab = _vocab(["a", "b"])
     rng = np.random.default_rng(0)
-    model = ProbeModel(4, 2, ("X", "Y"), ProbeHyperparams(hidden=4), rng)
-    model.b2 = np.array([10.0, -10.0])  # forces every prediction to class X
-    model.w1[:] = 0.0
-    model.w2[:] = 0.0
+    model = ProbeModel(4, ("X", "Y"), ProbeHyperparams(hidden=4), rng)
+    model.params["b2"] = np.array([10.0, -10.0])  # forces every prediction to class X
+    model.params["w1"][:] = 0.0
+    model.params["w2"][:] = 0.0
     test = _dataset_from_pairs([("a", "X"), ("b", "Y")] * 10, ("X", "Y"))
     metrics = evaluate_probe(model, matrix, vocab, test)
     assert metrics.accuracy == pytest.approx(50.0)
