@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 
 from .cipher import (CapacityError, CipherPair, build_cipher,
                      build_noise_model, cipher_capacity, compute_beta,
-                     compute_sigma, load_cipher, noisy_vectors, save_cipher)
+                     compute_sigma, noisy_vectors, save_cipher)
 from .cooc import (ContextConfig, accumulate_cooccurrence, aggregate,
                    embed_corpus)
 from .corpus import (EncodingError, FrequencyTable, TokenizerConfig,
@@ -29,9 +29,8 @@ from .probe import (LabeledTokenDataset, ProbeHyperparams, ProbeModel,
                     evaluate_probe, load_conll, train_probe)
 
 __all__ = [
-    "__version__",
-    "CapacityError", "CipherPair", "build_cipher", "build_noise_model",
-    "cipher_capacity", "compute_beta", "compute_sigma", "load_cipher",
+    "__version__", "CapacityError", "CipherPair", "build_cipher",
+    "build_noise_model", "cipher_capacity", "compute_beta", "compute_sigma",
     "noisy_vectors", "save_cipher",
     "ContextConfig", "accumulate_cooccurrence", "aggregate", "embed_corpus",
     "EncodingError", "FrequencyTable", "TokenizerConfig", "Vocabulary",

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 from ._lazy import np
 from .corpus import FrequencyTable, Vocabulary
-from .embedio import ByteReader
 
 CIPHER_MAGIC = b"BCIP"
 CIPHER_VERSION = 1
@@ -198,34 +197,3 @@ def save_cipher(pair: CipherPair, path, mode: str = "") -> None:
         out.write(packed.tobytes())
         out.write(pair.plain_rows.astype("<f4").tobytes())
 
-
-def load_cipher(path) -> tuple[CipherPair, str]:
-    reader = ByteReader(path)
-    magic, version, n, bits, mode_len = _CIPHER_HEADER.unpack(
-        reader.take(_CIPHER_HEADER.size, "header"))
-    if magic != CIPHER_MAGIC:
-        raise ValueError(f"{path}: not a cipher file")
-    if version != CIPHER_VERSION:
-        raise ValueError(f"{path}: unsupported version {version}")
-    if n < 1 or bits < 1:
-        raise ValueError(f"{path}: header at byte 0 declares {n} rows of "
-                         f"{bits} bits; a cipher has at least 1 of each")
-    mode = reader.take_text(mode_len, "mode tag")
-    row_bytes, at = (bits + 7) // 8, reader.offset
-    packed = np.frombuffer(reader.take(n * row_bytes, "bit rows"), np.uint8)
-    rows = np.unpackbits(packed.reshape(n, row_bytes), axis=1,
-                         bitorder="little")
-    padded = np.flatnonzero(rows[:, bits:].any(axis=1))
-    if padded.size:
-        row = int(padded[0])
-        raise ValueError(f"{path}: bit row {row} sets padding bits at byte "
-                         f"{at + (row + 1) * row_bytes - 1}")
-    at = reader.offset
-    plain = np.frombuffer(reader.take(n * bits * 4, "plain rows"), dtype="<f4")
-    finite = np.isfinite(plain)
-    if not finite.all():
-        raise ValueError(f"{path}: non-finite plain row value at byte "
-                         f"{at + 4 * int(np.argmin(finite))}")
-    plain_rows = plain.reshape(n, bits).astype(np.float64)
-    reader.finish()
-    return CipherPair(rows[:, :bits], plain_rows, bits), mode

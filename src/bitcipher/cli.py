@@ -5,7 +5,10 @@ from __future__ import annotations
 import argparse
 import sys
 import traceback
+from collections import Counter
+from contextlib import contextmanager
 from dataclasses import asdict
+from itertools import chain
 from pathlib import Path
 
 from . import __version__
@@ -18,8 +21,9 @@ from .corpus import (OOV_TOKEN, TokenizerConfig, build_vocabulary,
 from .embedio import (read_embeddings, row_tokens, vocabulary_from_tokens,
                       write_embeddings_binary, write_embeddings_text)
 from .manifest import publish, write_json
-from .postprocess import DEFAULT_EPSILON, pipeline
-from .probe import ProbeHyperparams, evaluate_probe, load_conll, train_probe
+from .postprocess import DEFAULT_EPSILON, check_epsilon, pipeline
+from .probe import (ProbeHyperparams, evaluate_probe, label_ids, load_conll,
+                    train_probe)
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -56,6 +60,37 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
+
+
+@contextmanager
+def _named(source):
+    """Prefix ``source``, the input at fault, to a ValueError raised inside."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{source}: {exc}") from None
+
+
+def _counted_documents(corpus, config: TokenizerConfig, table, freq):
+    """The documents of ``corpus``. After the last, refuse ``table``, read
+    from ``freq``, if its f column or D differs from the corpus's counts
+    under ``config``."""
+    counted: Counter[str] = Counter()
+    documents = 0
+    for document in stream_documents(corpus, config):
+        counted.update(document)
+        documents += bool(document)
+        yield document
+    mismatch = ("the frequency table belongs to another corpus or was "
+                "counted with other tokenizer flags")
+    for token in chain(counted, table.counts):
+        f = table.counts.get(token, (0, 0))[0]
+        if counted[token] != f:
+            raise ValueError(f"token {token!r} has f={counted[token]} in "
+                             f"{corpus} but f={f} in {freq}: {mismatch}")
+    if documents != table.total_documents:
+        raise ValueError(f"{corpus} has D={documents} documents but {freq} "
+                         f"declares D={table.total_documents}: {mismatch}")
 
 
 def cmd_count(args) -> int:
@@ -104,25 +139,12 @@ def cmd_embed(args) -> int:
         context = ContextConfig(radius=args.radius, mode=args.mode,
                                 log_weighting=args.log,
                                 include_center=args.include_center)
-        tokens = 0
-
-        def documents():
-            nonlocal tokens
-            for document in stream_documents(args.corpus, config):
-                tokens += len(document)
-                yield document
-
-        # No name holds the noisy vectors, so they are freed once aggregated
-        # rather than adding to the peak RSS of post-processing and writing.
-        rows = embed_corpus(documents(), vocab,
-                            build_noise_model(table, vocab, pair,
-                                              mode=args.dtype),
-                            context)
-        if tokens != table.total_tokens:
-            raise ValueError(f"{args.corpus} holds {tokens} tokens but "
-                             f"{args.freq} was counted over "
-                             f"M={table.total_tokens}: the frequency table "
-                             f"belongs to another corpus or tokenizer")
+        with _named(args.freq):
+            nu = build_noise_model(table, vocab, pair, mode=args.dtype)
+        rows = embed_corpus(_counted_documents(args.corpus, config, table,
+                                               args.freq), vocab, nu, context)
+        # freed once aggregated, not held through post-processing and writing
+        del nu
         if args.postproc:
             rows, report = pipeline(rows, epsilon=args.epsilon)
         _write_embeddings(rows, row_tokens(vocab), temp["embeddings"],
@@ -137,6 +159,7 @@ def cmd_embed(args) -> int:
 
 
 def cmd_postproc(args) -> int:
+    check_epsilon(args.epsilon)  # so a flag error is not blamed on the input
     with publish(args.out, "postproc",
                  {"epsilon": args.epsilon, "row_mean": args.row_mean,
                   "format": args.format},
@@ -144,8 +167,9 @@ def cmd_postproc(args) -> int:
                  {"embeddings": args.out,
                   "report": _report_path(args.out)}) as temp:
         rows, tokens = read_embeddings(args.embeddings)
-        refined, report = pipeline(rows, epsilon=args.epsilon,
-                                   row_mean=args.row_mean)
+        with _named(args.embeddings):
+            refined, report = pipeline(rows, epsilon=args.epsilon,
+                                       row_mean=args.row_mean)
         _write_embeddings(refined, tokens, temp["embeddings"], args.format)
         write_json(asdict(report), temp["report"])
     print(f"postprocessed {rows.shape[0]} rows ({', '.join(report.steps)}) "
@@ -166,10 +190,13 @@ def cmd_probe(args) -> int:
                   "label_column": args.label_column},
                  inputs, {"metrics": args.metrics_out}) as temp:
         rows, tokens = read_embeddings(args.embeddings)
-        vocab = vocabulary_from_tokens(tokens)
+        with _named(args.embeddings):
+            vocab = vocabulary_from_tokens(tokens)
         train, dev, test = (load_conll(inputs[split], args.token_column,
                                        args.label_column, split)
                             for split in ("train", "dev", "test"))
+        for data in (train, dev, test):  # checked before training runs
+            label_ids(data, train.label_set)
         model = train_probe(rows, vocab, train, dev, hp)
         metrics = evaluate_probe(model, rows, vocab, test)
         print(metrics.summary_line())

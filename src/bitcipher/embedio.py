@@ -233,14 +233,16 @@ def is_binary_embedding_file(path: str | Path) -> bool:
 def read_embeddings(path: str | Path) -> tuple[np.ndarray, list[str]]:
     """Read either format, sniffing the binary magic.
 
-    Rows holding NaN or infinity, and a token that repeats an earlier row,
-    are rejected with the path and the first such row, so no command turns
-    them into an artifact.
+    Rows of dimension 0, rows holding NaN or infinity, and a token that
+    repeats an earlier row are rejected with the path and the first such
+    row, so no command turns them into an artifact.
     """
     if is_binary_embedding_file(path):
         rows, tokens = read_embeddings_binary(path)
     else:
         rows, tokens = read_embeddings_text(path)
+    if not rows.shape[1]:
+        raise ValueError(f"{path}: the rows hold no values (dimension 0)")
     if len(set(tokens)) != len(tokens):
         first: dict[str, int] = {}
         row = next(i for i, t in enumerate(tokens)

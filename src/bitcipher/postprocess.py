@@ -34,6 +34,11 @@ def _condition(eigenvalues: np.ndarray) -> float | None:
     return None if bottom <= 0 else top / bottom
 
 
+def check_epsilon(epsilon: float) -> None:
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ValueError(f"epsilon must be finite and > 0, got {epsilon}")
+
+
 def whiten(rows: np.ndarray, epsilon: float = DEFAULT_EPSILON,
            report: PostprocReport | None = None) -> np.ndarray:
     """Decorrelate columns so the feature covariance is the identity.
@@ -43,8 +48,7 @@ def whiten(rows: np.ndarray, epsilon: float = DEFAULT_EPSILON,
     below RANK_CUTOFF are rescaled with an epsilon-regularized denominator
     instead of being blown up, and counted in the report.
     """
-    if not (math.isfinite(epsilon) and epsilon > 0):
-        raise ValueError(f"epsilon must be finite and > 0, got {epsilon}")
+    check_epsilon(epsilon)
     rows = np.asarray(rows, dtype=np.float64)
     n, dim = rows.shape
     if n < dim + 1:

@@ -215,23 +215,31 @@ class ProbeMetrics:
         }
 
 
-def _examples(rows: np.ndarray, vocab: Vocabulary, data: LabeledTokenDataset,
-              label_set: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Features and label ids of the tokens of ``data``, which must hold one;
-    a token falls back to its lowercase form, then to the OOV row."""
+def label_ids(data: LabeledTokenDataset,
+              label_set: tuple[str, ...]) -> np.ndarray:
+    """The index in ``label_set`` of each token's label; ``data`` must hold
+    a token, and each of its labels must be in ``label_set``."""
     where = f"{data.path}: " if data.path else ""
     split = data.split or "a"
-    pairs = [pair for seq in data.sequences for pair in seq]
-    if not pairs:
+    labels = [label for seq in data.sequences for _, label in seq]
+    if not labels:
         raise ValueError(f"{where}{split} split holds no tokens")
     ids = {label: i for i, label in enumerate(label_set)}
     try:
-        y = np.array([ids[label] for _, label in pairs], dtype=np.int64)
+        return np.array([ids[label] for label in labels], dtype=np.int64)
     except KeyError as exc:
         raise ValueError(f"{where}label {exc.args[0]!r} in {split} split was "
                          "never seen in training") from None
+
+
+def _examples(rows: np.ndarray, vocab: Vocabulary, data: LabeledTokenDataset,
+              label_set: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Features and label ids of the tokens of ``data`` (see ``label_ids``);
+    a token falls back to its lowercase form, then to the OOV row."""
+    y = label_ids(data, label_set)
     index, oov = vocab.index, vocab.oov_index
-    idx = [index.get(t, index.get(t.lower(), oov)) for t, _ in pairs]
+    idx = [index.get(t, index.get(t.lower(), oov))
+           for seq in data.sequences for t, _ in seq]
     return np.asarray(rows[idx], dtype=np.float64), y
 
 

@@ -15,6 +15,7 @@ from hypothesis import given, strategies as st
 
 import bitcipher
 from bitcipher import cli
+from bitcipher.cipher import build_cipher, save_cipher
 from bitcipher.cli import main
 from bitcipher.embedio import (OOV_TOKEN, read_embeddings,
                                read_embeddings_text, write_embeddings_binary)
@@ -296,14 +297,15 @@ def test_embed_deterministic_manifests(tmp_path, corpus_file):
 
 
 def test_embed_save_cipher(tmp_path, corpus_file):
-    from bitcipher.cipher import load_cipher
+    # the file is save_cipher of build_cipher(N, b), N the vocabulary size
     cipher_path = tmp_path / "cipher.bin"
-    code, _ = _run_embed(tmp_path, corpus_file, "emb.txt", "--bits", "6",
-                         "--dtype", "df", "--save-cipher", str(cipher_path))
+    code, emb = _run_embed(tmp_path, corpus_file, "emb.txt", "--bits", "6",
+                           "--dtype", "df", "--save-cipher", str(cipher_path))
     assert code == 0
-    pair, mode = load_cipher(cipher_path)
-    assert mode == "df"
-    assert pair.bits == 6
+    n = len(read_embeddings_text(emb)[1]) - 1
+    expected = tmp_path / "expected.bin"
+    save_cipher(build_cipher(n, 6), expected, mode="df")
+    assert cipher_path.read_bytes() == expected.read_bytes()
 
 
 def test_embed_rejects_another_corpus_frequency_table(tmp_path, corpus_file,
@@ -318,6 +320,30 @@ def test_embed_rejects_another_corpus_frequency_table(tmp_path, corpus_file,
                  "--out", str(out), "--bits", "6"]) == 2
     err = capsys.readouterr().err
     assert str(corpus_file) in err and str(freq) in err
+    assert not out.exists()
+    assert not Path(str(out) + ".manifest.json").exists()
+
+
+@pytest.mark.parametrize("count_flags,embed_flags,message", [
+    ([], ["--no-lowercase"],
+     "token 'The' has f=1 in {corpus} but f=0 in {freq}"),
+    ([], ["--no-split-punct"],
+     "token 'mat.' has f=1 in {corpus} but f=0 in {freq}"),
+    (["--doc-boundary", "blank"], [],
+     "{corpus} has D=2 documents but {freq} declares D=1"),
+], ids=["lowercase", "split_punct", "doc_boundary"])
+def test_embed_rejects_frequency_table_of_other_tokenizer_flags(
+        tmp_path, capsys, count_flags, embed_flags, message):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("The cat sat on the mat.\nthe dog sat on the log.\n")
+    freq, out = tmp_path / "freq.tsv", tmp_path / "emb.txt"
+    assert main(["count", str(corpus), "--out", str(freq),
+                 *count_flags]) == 0
+    capsys.readouterr()
+    assert main(["embed", str(corpus), "--freq", str(freq), "--out", str(out),
+                 "--bits", "4", *embed_flags]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {message.format(corpus=corpus, freq=freq)}: " in err
     assert not out.exists()
     assert not Path(str(out) + ".manifest.json").exists()
 
@@ -643,7 +669,8 @@ def test_probe_rejects_out_of_range_hyperparams(tmp_path, corpus_file,
 ], ids=["empty_train", "empty_dev", "docstart_only_dev", "empty_test",
         "unseen_dev_label", "unseen_test_label"])
 def test_probe_data_errors_exit_2_naming_file(tmp_path, corpus_file, capsys,
-                                              split, content, message):
+                                              monkeypatch, split, content,
+                                              message):
     code, emb = _run_embed(tmp_path, corpus_file, "emb.txt",
                            "--bits", "5", "--radius", "2", "--mode", "sum")
     assert code == 0
@@ -652,6 +679,8 @@ def test_probe_data_errors_exit_2_naming_file(tmp_path, corpus_file, capsys,
     bad.write_text(content)
     files = dict.fromkeys(("train", "dev", "test"), conll) | {split: bad}
     metrics_out = tmp_path / "metrics.json"
+    # refused before training: the command fails with exit 1 if it trains
+    monkeypatch.setattr(cli, "train_probe", _not_read)
     capsys.readouterr()
     assert main(["probe", str(emb), "--train", str(files["train"]),
                  "--dev", str(files["dev"]), "--test", str(files["test"]),
@@ -800,6 +829,49 @@ def test_malformed_text_embeddings_exit_2(tmp_path, corpus_file, capsys,
     capsys.readouterr()
     assert main(_reading_command(command, bad, out, tmp_path)) == 2
     assert f"{bad}: {message}" in capsys.readouterr().err
+    assert not out.exists()
+    assert not Path(str(out) + ".manifest.json").exists()
+
+
+@pytest.mark.parametrize("command", ["probe", "postproc", "export"])
+@pytest.mark.parametrize("fmt", ["text", "binary"])
+def test_zero_width_embeddings_exit_2(tmp_path, capsys, command, fmt):
+    bad = tmp_path / "bad"
+    if fmt == "text":
+        bad.write_text(f"2 0\na \n{OOV_TOKEN} \n")
+    else:
+        write_embeddings_binary(np.zeros((2, 0)), ["a", OOV_TOKEN], bad)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(_reading_command(command, bad, out, tmp_path)) == 2
+    assert (f"error: {bad}: the rows hold no values (dimension 0)\n"
+            in capsys.readouterr().err)
+    assert not out.exists()
+    assert not Path(str(out) + ".manifest.json").exists()
+
+
+@pytest.mark.parametrize("case", ["probe_without_oov", "postproc_few_rows",
+                                  "embed_one_type"])
+def test_exit_2_message_names_the_input_at_fault(tmp_path, capsys, case):
+    emb, out = tmp_path / "emb.txt", tmp_path / "out"
+    corpus, freq = tmp_path / "corpus.txt", tmp_path / "freq.tsv"
+    if case == "probe_without_oov":
+        emb.write_text("2 1\nthe 1\ncat 2\n")
+        argv = _reading_command("probe", emb, out, tmp_path)
+        bad, message = emb, "embedding file must end with the <oov> row"
+    elif case == "postproc_few_rows":
+        emb.write_text(f"2 3\nthe 1 2 3\n{OOV_TOKEN} 4 5 6\n")
+        argv = _reading_command("postproc", emb, out, tmp_path)
+        bad, message = emb, "whitening needs at least 4 rows, got 2"
+    else:
+        corpus.write_text("a a a\n")
+        assert main(["count", str(corpus), "--out", str(freq)]) == 0
+        argv = ["embed", str(corpus), "--freq", str(freq), "--out", str(out),
+                "--bits", "4"]
+        bad, message = freq, "sigma requires a vocabulary of at least 2 tokens"
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert f"error: {bad}: {message}\n" in capsys.readouterr().err
     assert not out.exists()
     assert not Path(str(out) + ".manifest.json").exists()
 
