@@ -132,13 +132,23 @@ def cmd_embed(args) -> int:
             limit = (f"capacity 2^{args.bits} - 1"
                      if vocab.size == cipher_capacity(args.bits)
                      else f"--max-vocab {args.max_vocab}")
-            print(f"warning: vocabulary truncated to {vocab.size} of "
-                  f"{distinct} distinct tokens ({limit})",
-                  file=sys.stderr)
-        pair = build_cipher(vocab.size, args.bits)
+            truncated = (f"vocabulary truncated to {vocab.size} of "
+                         f"{distinct} distinct tokens ({limit})")
+            if vocab.size < 2:
+                raise ValueError(f"{truncated}; the noise model needs at "
+                                 "least 2")
+            print(f"warning: {truncated}", file=sys.stderr)
         context = ContextConfig(radius=args.radius, mode=args.mode,
                                 log_weighting=args.log,
                                 include_center=args.include_center)
+        dim = context.output_dim(args.bits)
+        if args.postproc and vocab.size < dim:
+            raise ValueError(
+                f"--postproc whitens dimension {dim} (--bits {args.bits} "
+                f"--radius {args.radius} --mode {args.mode}), which needs at "
+                f"least {dim + 1} rows, but a vocabulary of {vocab.size} "
+                f"tokens gives {vocab.size + 1} with {OOV_TOKEN}")
+        pair = build_cipher(vocab.size, args.bits)
         with _named(args.freq):
             nu = build_noise_model(table, vocab, pair, mode=args.dtype)
         rows = embed_corpus(_counted_documents(args.corpus, config, table,

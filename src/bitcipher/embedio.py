@@ -12,6 +12,7 @@ the reserved token ``<oov>``.
 
 from __future__ import annotations
 
+import os
 import re
 import struct
 from collections import Counter
@@ -31,40 +32,6 @@ _ESCAPES = {"%": "%25", " ": "%20", "\t": "%09", "\n": "%0A", "\r": "%0D"}
 _UNESCAPES = {v: k for k, v in _ESCAPES.items()}
 _ESCAPE_TABLE = str.maketrans(_ESCAPES)
 _ESCAPED = re.compile("|".join(_UNESCAPES))
-
-
-class ByteReader:
-    """Bounds-checked reads over a whole binary file.
-
-    Every error names the path and the byte offset where reading stopped.
-    """
-
-    def __init__(self, path: str | Path):
-        self.path = path
-        self.data = memoryview(Path(path).read_bytes())
-        self.offset = 0
-
-    def take(self, size: int, what: str) -> memoryview:
-        if size > len(self.data) - self.offset:
-            raise ValueError(f"{self.path}: truncated {what} at byte "
-                             f"{self.offset}")
-        self.offset += size
-        return self.data[self.offset - size:self.offset]
-
-    def take_text(self, size: int, what: str) -> str:
-        """The next ``size`` bytes decoded as UTF-8."""
-        raw = self.take(size, what)
-        try:
-            return str(raw, "utf-8")
-        except UnicodeDecodeError as exc:
-            raise EncodingError(self.offset - size + exc.start,
-                                self.path) from None
-
-    def finish(self) -> None:
-        """Reject bytes after the last field read."""
-        if self.offset != len(self.data):
-            raise ValueError(f"{self.path}: {len(self.data) - self.offset} "
-                             f"trailing bytes at byte {self.offset}")
 
 
 def escape_token(token: str) -> str:
@@ -208,21 +175,39 @@ def write_embeddings_binary(rows: np.ndarray, tokens: Sequence[str],
 
 
 def read_embeddings_binary(path: str | Path) -> tuple[np.ndarray, list[str]]:
-    reader = ByteReader(path)
-    magic, version, n, dim = _BIN_HEADER.unpack(
-        reader.take(_BIN_HEADER.size, "header"))
-    if magic != EMBED_MAGIC:
-        raise ValueError(f"{path}: not an embedding file")
-    if version != EMBED_VERSION:
-        raise ValueError(f"{path}: unsupported version {version}")
-    rows = np.frombuffer(reader.take(n * dim * 4, "float block"), dtype="<f4")
-    rows = rows.reshape(n, dim).astype(np.float32)
-    tokens = []
-    for i in range(n):
-        (length,) = struct.unpack("<I", reader.take(4, f"length of token {i}"))
-        tokens.append(reader.take_text(length, f"token {i}"))
-    reader.finish()
-    return rows, tokens
+    """Every error names the path and the byte offset where reading stopped.
+    The float block is read, once the file is known to hold it, straight
+    into the rows returned."""
+    with open(path, "rb") as src:
+        size, at = os.fstat(src.fileno()).st_size, 0
+
+        def claim(count: int, what: str) -> int:
+            nonlocal at
+            if count > size - at:
+                raise ValueError(f"{path}: truncated {what} at byte {at}")
+            at += count
+            return count
+
+        magic, version, n, dim = _BIN_HEADER.unpack(
+            src.read(claim(_BIN_HEADER.size, "header")))
+        if magic != EMBED_MAGIC:
+            raise ValueError(f"{path}: not an embedding file")
+        if version != EMBED_VERSION:
+            raise ValueError(f"{path}: unsupported version {version}")
+        rows = np.fromfile(src, dtype="<f4",
+                           count=claim(4 * n * dim, "float block") // 4)
+        tokens = []
+        for i in range(n):
+            (length,) = struct.unpack(
+                "<I", src.read(claim(4, f"length of token {i}")))
+            try:
+                tokens.append(str(src.read(claim(length, f"token {i}")),
+                                  "utf-8"))
+            except UnicodeDecodeError as exc:
+                raise EncodingError(at - length + exc.start, path) from None
+    if at != size:
+        raise ValueError(f"{path}: {size - at} trailing bytes at byte {at}")
+    return rows.reshape(n, dim).astype(np.float32, copy=False), tokens
 
 
 def is_binary_embedding_file(path: str | Path) -> bool:

@@ -13,6 +13,8 @@ RANK_CUTOFF = 1e-8
 
 DEFAULT_EPSILON = 1e-5
 
+_NORM_BLOCK_ROWS = 4096  # rows squared at once when row norms are taken
+
 
 @dataclass
 class PostprocReport:
@@ -98,7 +100,12 @@ def center_and_normalize(rows: np.ndarray,
         centered = rows - rows.mean(axis=1, keepdims=True)
     else:
         centered = rows - rows.mean(axis=0)
-    norms = np.linalg.norm(centered, axis=1)
+    # np.linalg.norm's reduction, over blocks of rows: no full-size square
+    norms = np.empty(len(centered))
+    for start in range(0, len(centered), _NORM_BLOCK_ROWS):
+        block = centered[start:start + _NORM_BLOCK_ROWS]
+        np.sqrt(np.add.reduce(block * block, axis=1),
+                out=norms[start:start + _NORM_BLOCK_ROWS])
     zero = norms == 0.0
     np.divide(centered, norms[:, None], out=centered, where=~zero[:, None])
     report.zero_rows = int(zero.sum())

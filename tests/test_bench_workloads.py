@@ -3,13 +3,16 @@ their postprocessing reports, pinned byte for byte, and the functions bitbench's
 
 bitbench times these chains; a speed-up that changed their output would
 not be a speed-up of the same computation. A traced function that is
-renamed or re-signed would leave its per-layer metrics absent.
+renamed, re-signed or no longer called would leave its per-layer metrics
+absent.
 """
 
+import dataclasses
 import hashlib
 import importlib
 import importlib.util
 import inspect
+import json
 import os
 import subprocess
 import sys
@@ -33,6 +36,7 @@ def _load_bench_module(name):
 
 workloads = _load_bench_module("workloads")
 tracer = _load_bench_module("tracer")
+run = _load_bench_module("run")
 
 # SHA-256 of emb.txt (rows after --postproc) for seed 1
 GOLDEN_EMB_SHA256 = {
@@ -63,16 +67,21 @@ GOLDEN_REPORT_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN_EMB_SHA256))
-def test_workload_embed_rows_match_golden(tmp_path, name):
-    workload = workloads.WORKLOADS[name]
-    workloads.generate(workload, 1, tmp_path)
-    # the benchmark's environment: BLAS pinned to one thread, as whitening
-    # sums in a thread-count-dependent order
+def _bench_env():
+    """The benchmark's environment: BLAS pinned to one thread, as whitening
+    sums in a thread-count-dependent order."""
     src = Path(bitcipher.__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(src))
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"
+    return env
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_EMB_SHA256))
+def test_workload_embed_rows_match_golden(tmp_path, name):
+    workload = workloads.WORKLOADS[name]
+    workloads.generate(workload, 1, tmp_path)
+    env = _bench_env()
     for _, argv, _ in workload.chain()[:3]:  # count, embed, postproc
         subprocess.run([sys.executable, "-m", "bitcipher.cli", *argv],
                        cwd=tmp_path, env=env, check=True, capture_output=True)
@@ -96,3 +105,38 @@ def test_tracer_finds_every_function_it_wraps_or_calls():
     # run_layers drains stream_tokens and calls count_corpus(path, workers=1)
     assert callable(getattr(corpus, "stream_tokens", None))
     inspect.signature(corpus.count_corpus).bind("corpus.txt", workers=1)
+
+
+# Each workload shrunk so that its traced chain takes a few seconds.
+SMALL_WORKLOADS = {
+    "grammar-sum": {"tokens": 20_000},
+    "zipf-cat": {"tokens": 20_000, "types": 3_000},
+}
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_WORKLOADS))
+def test_traced_chain_reports_every_per_layer_metric(tmp_path, name):
+    """What bitbench's ``--trace 1`` does for one chain: every command and
+    the standalone layers under the tracer, their spans read back by
+    ``run.layer_metrics``."""
+    workload = dataclasses.replace(workloads.WORKLOADS[name],
+                                   **SMALL_WORKLOADS[name])
+    workloads.generate(workload, 1, tmp_path)
+    env = _bench_env()
+    runs = [(command, ["--", *argv]) for command, argv, _ in workload.chain()]
+    runs.append(("layers", ["--layers", "corpus.txt",
+                            "--workers", str(workload.count_threads)]))
+    payloads = {}
+    for command, argv in runs:
+        spans = tmp_path / f"{command}.spans.json"
+        subprocess.run([sys.executable, str(ROOT / "bitbench" / "tracer.py"),
+                        "--spans", str(spans), "--run-id", "t", *argv],
+                       cwd=tmp_path, env=env, check=True, capture_output=True)
+        payloads[command] = json.loads(spans.read_text())
+    assert {command: p["absent"] for command, p in payloads.items()} == {
+        command: [] for command, _ in runs}
+    reported = run.layer_metrics(payloads, workload)
+    # the two metrics that come from untraced runs
+    expected = {metric for metric, _unit in run.PER_LAYER} - {
+        "cli.startup_s", "cli.trace_overhead_s"}
+    assert sorted(expected - set(reported)) == []

@@ -876,6 +876,34 @@ def test_exit_2_message_names_the_input_at_fault(tmp_path, capsys, case):
     assert not Path(str(out) + ".manifest.json").exists()
 
 
+@pytest.mark.parametrize("flags,message", [
+    (("--bits", "1"), "vocabulary truncated to 1 of 5 distinct tokens "
+                      "(capacity 2^1 - 1); the noise model needs at least 2"),
+    (("--bits", "4", "--max-vocab", "1"),
+     "vocabulary truncated to 1 of 5 distinct tokens (--max-vocab 1); the "
+     "noise model needs at least 2"),
+    (("--bits", "25", "--mode", "cat", "--postproc"),
+     "--postproc whitens dimension 200 (--bits 25 --radius 4 --mode cat), "
+     "which needs at least 201 rows, but a vocabulary of 5 tokens gives 6 "
+     "with <oov>"),
+], ids=["capacity", "max_vocab", "postproc_rows"])
+def test_embed_refuses_impossible_flags_before_the_corpus(
+        tmp_path, capsys, monkeypatch, flags, message):
+    corpus, freq, out = (tmp_path / "c.txt", tmp_path / "f.tsv",
+                         tmp_path / "emb.txt")
+    corpus.write_text("a b c d e\na b c\n")
+    assert main(["count", str(corpus), "--out", str(freq)]) == 0
+    # the command fails with exit 1 if it reaches the co-occurrence pass
+    monkeypatch.setattr(cli, "embed_corpus", _not_read)
+    capsys.readouterr()
+    assert main(["embed", str(corpus), "--freq", str(freq), "--out",
+                 str(out), *flags]) == 2
+    assert f"error: {message}\n" in capsys.readouterr().err
+    assert not out.exists()
+    assert not Path(str(out) + ".manifest.json").exists()
+    assert not Path(str(out) + ".report.json").exists()
+
+
 @pytest.mark.parametrize("epsilon", ["nan", "inf", "0", "-1"])
 def test_epsilon_must_be_finite_and_positive(tmp_path, corpus_file, capsys,
                                              epsilon):

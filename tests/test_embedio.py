@@ -1,4 +1,6 @@
+import struct
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -45,6 +47,48 @@ def test_binary_round_trip_bit_exact(tmp_path):
     back, back_tokens = read_embeddings_binary(path)
     assert back_tokens == tokens
     assert np.array_equal(back, rows.astype(np.float32))
+    # the rows are the caller's to change in place, in the host's byte order
+    assert back.dtype == np.float32 and back.dtype.isnative
+    assert back.flags.c_contiguous and back.flags.writeable
+
+
+# How each damage to the 60-byte file of a 3 x 2 matrix with tokens "ab",
+# "c" and <oov> is reported: header 0-16, floats 16-40, then a 4-byte length
+# before each token (at 40, 46 and 51; token 2 spans 55-60).
+BINARY_ERRORS = {
+    "cut header": (lambda d: d[:10], "truncated header at byte 0"),
+    "bad magic": (lambda d: b"BCEX" + d[4:], "not an embedding file"),
+    "version 2": (lambda d: d[:4] + struct.pack("<I", 2) + d[8:],
+                  "unsupported version 2"),
+    "cut float block": (lambda d: d[:26], "truncated float block at byte 16"),
+    "huge float block": (lambda d: d[:8] + struct.pack("<II", 1 << 30, 1 << 10)
+                         + d[16:], "truncated float block at byte 16"),
+    "cut length prefix": (lambda d: d[:42],
+                          "truncated length of token 0 at byte 40"),
+    "cut last 3 bytes": (lambda d: d[:-3], "truncated token 2 at byte 55"),
+    "cut last 5 bytes": (lambda d: d[:-5], "truncated token 2 at byte 55"),
+    "trailing bytes": (lambda d: d + b"\0\0", "2 trailing bytes at byte 60"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BINARY_ERRORS))
+def test_binary_reader_error_messages(tmp_path, case):
+    damage, message = BINARY_ERRORS[case]
+    path = tmp_path / "emb.bin"
+    write_embeddings_binary(np.ones((3, 2)), ["ab", "c", OOV_TOKEN], path)
+    data = path.read_bytes()
+    assert len(data) == 60
+    path.write_bytes(damage(data))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as err:
+            read_embeddings_binary(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == f"{path}: {message}"
+    # refused before anything the size of the declared float block is made
+    assert peak < 1 << 20
 
 
 def test_escaping_round_trips_odd_tokens(tmp_path):
