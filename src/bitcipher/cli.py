@@ -9,7 +9,6 @@ from collections import Counter
 from contextlib import contextmanager
 from dataclasses import asdict
 from itertools import chain
-from pathlib import Path
 
 from . import __version__
 from .cipher import (build_cipher, build_noise_model, cipher_capacity,
@@ -20,7 +19,7 @@ from .corpus import (OOV_TOKEN, TokenizerConfig, build_vocabulary,
                      write_frequency_table)
 from .embedio import (read_embeddings, row_tokens, vocabulary_from_tokens,
                       write_embeddings_binary, write_embeddings_text)
-from .manifest import publish, write_json
+from .manifest import publish, sidecar, write_json
 from .postprocess import DEFAULT_EPSILON, check_epsilon, pipeline
 from .probe import (ProbeHyperparams, evaluate_probe, label_ids, load_conll,
                     train_probe)
@@ -44,10 +43,6 @@ def _tokenizer_config(args) -> TokenizerConfig:
     return TokenizerConfig(lowercase=not args.no_lowercase,
                            split_punctuation=not args.no_split_punct,
                            doc_boundary=args.doc_boundary)
-
-
-def _report_path(out) -> Path:
-    return Path(str(out) + ".report.json")
 
 
 def _write_embeddings(rows, tokens, path, fmt: str) -> None:
@@ -111,7 +106,7 @@ def cmd_embed(args) -> int:
     if args.save_cipher:
         outputs["cipher"] = args.save_cipher
     if args.postproc:
-        outputs["postproc_report"] = _report_path(args.out)
+        outputs["postproc_report"] = sidecar(args.out, "report")
     config = _tokenizer_config(args)
     settings = dict(bits=args.bits, radius=args.radius, mode=args.mode,
                     log=args.log, dtype=args.dtype,
@@ -175,7 +170,7 @@ def cmd_postproc(args) -> int:
                   "format": args.format},
                  {"embeddings": args.embeddings},
                  {"embeddings": args.out,
-                  "report": _report_path(args.out)}) as temp:
+                  "report": sidecar(args.out, "report")}) as temp:
         rows, tokens = read_embeddings(args.embeddings)
         with _named(args.embeddings):
             refined, report = pipeline(rows, epsilon=args.epsilon,

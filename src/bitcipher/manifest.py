@@ -25,9 +25,14 @@ def sha256_file(path: str | Path) -> str:
     return digest.hexdigest()
 
 
-def _check_outputs(inputs: dict, outputs: list) -> None:
-    """Refuse an output path that is an input, another output or a
-    directory, or that sits in a missing directory."""
+def sidecar(artifact: str | Path, kind: str) -> Path:
+    """``<artifact>.<kind>.json``: the artifact's manifest, report etc."""
+    return Path(f"{artifact}.{kind}.json")
+
+
+def _check_outputs(inputs: dict, outputs: list) -> set:
+    """Refuse an output path that is an input, another output or a directory,
+    or that sits in a missing directory; return every path's real path."""
     taken = {os.path.realpath(path): "an input" for path in inputs.values()}
     for path in outputs:
         real = os.path.realpath(path)
@@ -39,6 +44,7 @@ def _check_outputs(inputs: dict, outputs: list) -> None:
         if not os.path.isdir(os.path.dirname(real)):
             raise ValueError(f"{path}: output directory does not exist")
         taken[real] = "another output"
+    return set(taken)
 
 
 @contextmanager
@@ -46,13 +52,15 @@ def publish(artifact: str | Path, command: str, config: dict, inputs: dict,
             outputs: dict):
     """Check the output paths before any work, then yield a temporary path
     beside each of ``outputs`` (name -> path) for the block to write. Once
-    the block ends, remove the old manifest beside ``artifact``, move each
-    output into place, and write the manifest last. On failure the
+    the block ends, remove the old manifest beside ``artifact`` and an old
+    report this run does not write (a regular file that is no input), move
+    each output into place, and write the manifest last. On failure the
     temporary files are removed and the error names the output: no file
     changes before the moves, and no manifest is left after a failed one."""
-    manifest = Path(str(artifact) + ".manifest.json")
+    manifest = sidecar(artifact, "manifest")
+    report = sidecar(artifact, "report")
     finals = [*outputs.values(), manifest]
-    _check_outputs(inputs, finals)
+    taken = _check_outputs(inputs, finals)
     temps = [Path(path).with_name(f".{Path(path).name}.{os.getpid()}.tmp")
              for path in finals]
 
@@ -65,6 +73,9 @@ def publish(artifact: str | Path, command: str, config: dict, inputs: dict,
         yield dict(zip(outputs, temps))
         with suppress(FileNotFoundError):
             os.unlink(manifest)
+        if (os.path.realpath(report) not in taken and os.path.isfile(report)
+                and not os.path.islink(report)):
+            os.unlink(report)
         for temp, final in zip(temps, finals[:-1]):
             os.replace(temp, final)
         write_manifest(command, config, inputs, outputs, temps[-1])

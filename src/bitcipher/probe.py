@@ -244,19 +244,16 @@ def _examples(rows: np.ndarray, vocab: Vocabulary, data: LabeledTokenDataset,
 
 
 def train_probe(rows: np.ndarray, vocab: Vocabulary,
-                train: LabeledTokenDataset, dev: LabeledTokenDataset | None,
+                train: LabeledTokenDataset, dev: LabeledTokenDataset,
                 hp: ProbeHyperparams = ProbeHyperparams()) -> ProbeModel:
     """Fit the probe on frozen features, keeping the best-dev checkpoint.
 
-    Training stops early once dev accuracy has not improved for
-    ``hp.patience`` consecutive epochs; with ``dev=None`` it runs every
-    epoch and keeps the last. An empty split raises ``ValueError``. With the
-    same seed and data the run is reproducible at equal thread counts.
+    Training stops once dev accuracy has not improved for ``hp.patience``
+    consecutive epochs. An empty split raises ``ValueError``. With the same
+    seed and data the run is reproducible at equal thread counts.
     """
     x_train, y_train = _examples(rows, vocab, train, train.label_set)
-    x_dev = y_dev = None
-    if dev is not None:
-        x_dev, y_dev = _examples(rows, vocab, dev, train.label_set)
+    x_dev, y_dev = _examples(rows, vocab, dev, train.label_set)
 
     rng = np.random.default_rng(hp.seed)
     model = ProbeModel(x_train.shape[1], train.label_set, hp, rng)
@@ -282,9 +279,6 @@ def train_probe(rows: np.ndarray, vocab: Vocabulary,
                 v -= grad
                 model.params[name] += v
         history.append(epoch_loss / n)
-        if x_dev is None:
-            best_state = model.snapshot()
-            continue
         acc = float((model.predict(x_dev) == y_dev).mean())
         if acc > best_acc:
             best_acc = acc

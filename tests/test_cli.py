@@ -480,6 +480,51 @@ def test_failed_move_leaves_no_manifest(tmp_path, corpus_file, capsys,
                                    if not name.endswith(".manifest.json"))
 
 
+@pytest.mark.parametrize("case", [
+    "embed_without_postproc", "export_over_postproc", "report_is_an_input",
+    "report_is_a_directory", "refused_rerun"])
+def test_rerun_leaves_no_stale_report(tmp_path, corpus_file, case):
+    code, emb = _run_embed(tmp_path, corpus_file, "emb.txt", "--bits", "5")
+    assert code == 0
+    out = tmp_path / "out.txt"
+    report = Path(f"{out}.report.json")
+    freq = str(tmp_path / "freq.tsv")
+    embed = ["embed", str(corpus_file), "--out", str(out), "--freq"]
+    # case -> (first run, or None, then the rerun over the same output)
+    first, rerun = {
+        "embed_without_postproc": (embed + [freq, "--bits", "5", "--postproc"],
+                                   embed + [freq, "--bits", "5"]),
+        "export_over_postproc": (["postproc", str(emb), "--out", str(out)],
+                                 ["export", str(emb), "--out", str(out),
+                                  "--format", "text"]),
+        # the frequency table sits at the report's path
+        "report_is_an_input": (None, embed + [str(report), "--bits", "5"]),
+        "report_is_a_directory": (None, embed + [freq, "--bits", "5"]),
+        # refused before any work: a 1-bit cipher holds 1 token
+        "refused_rerun": (embed + [freq, "--bits", "5", "--postproc"],
+                          embed + [freq, "--bits", "1"]),
+    }[case]
+    if first:
+        assert main(first) == 0
+    if case == "report_is_an_input":
+        report.write_bytes(Path(freq).read_bytes())
+    if case == "report_is_a_directory":
+        report.mkdir()
+    before = _tree(tmp_path)
+    assert main(rerun) == (2 if case == "refused_rerun" else 0)
+    after = _tree(tmp_path)
+    if case == "refused_rerun":
+        assert report.is_file() and after == before
+        return
+    if case in ("embed_without_postproc", "export_over_postproc"):
+        assert not report.exists()
+    else:
+        assert report.is_dir() == (case == "report_is_a_directory")
+        assert after[report.name] == before[report.name]
+    outputs = json.loads(Path(f"{out}.manifest.json").read_text())["outputs"]
+    assert [entry["path"] for entry in outputs.values()] == [str(out)]
+
+
 def test_postproc_command(tmp_path, corpus_file):
     code, out = _run_embed(tmp_path, corpus_file, "emb.txt",
                            "--bits", "4", "--radius", "2", "--mode", "sum")

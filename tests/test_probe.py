@@ -198,8 +198,9 @@ def test_empty_train_set_rejected():
     matrix = _embedding(2, 4)
     vocab = _vocab(["a", "b"])
     empty = LabeledTokenDataset([], ("X",), "train")
+    dev = _dataset_from_pairs([("a", "X")], ("X",), "dev")
     with pytest.raises(ValueError):
-        train_probe(matrix, vocab, empty, None, ProbeHyperparams())
+        train_probe(matrix, vocab, empty, dev, ProbeHyperparams())
 
 
 def test_unseen_dev_label_rejected():
@@ -217,8 +218,10 @@ def test_oov_and_case_fallback():
     train = _dataset_from_pairs(
         [("cat", "A"), ("dog", "B"), ("Cat", "A"), ("unknown", "B")],
         ("A", "B"), "train")
+    dev = _dataset_from_pairs([("dog", "B"), ("CAT", "A"), ("other", "A")],
+                              ("A", "B"), "dev")
     hp = ProbeHyperparams(hidden=4, epochs=2, seed=0)
-    model = train_probe(matrix, vocab, train, None, hp)
+    model = train_probe(matrix, vocab, train, dev, hp)
     metrics = evaluate_probe(model, matrix, vocab, train)
     assert 0.0 <= metrics.accuracy <= 100.0
 
@@ -323,9 +326,6 @@ def _reference_train(x, y, x_dev, y_dev, n_labels, hp):
                                   - hp.learning_rate * grad)
                 params[name] += velocity[name]
         history.append(epoch_loss / n)
-        if x_dev is None:
-            best = {k: v.copy() for k, v in params.items()}
-            continue
         _, hidden = _reference_hidden(params, hp, x_dev)
         logp = _reference_log_softmax(hidden @ params["w2"] + params["b2"])
         acc = float((logp.argmax(axis=1) == y_dev).mean())
@@ -338,10 +338,9 @@ def _reference_train(x, y, x_dev, y_dev, n_labels, hp):
     return best, history
 
 
-@pytest.mark.parametrize("with_dev", [True, False])
 @pytest.mark.parametrize("dim", [8, 200])
 @pytest.mark.parametrize("dropout", [0.0, 0.3, 0.5])
-def test_training_matches_reference_bit_for_bit(dropout, dim, with_dev):
+def test_training_matches_reference_bit_for_bit(dropout, dim):
     rng = np.random.default_rng(11)
     n_types, labels = 60, ("A", "B", "C", "D")
     tokens = [f"w{i}" for i in range(n_types)]
@@ -358,7 +357,7 @@ def test_training_matches_reference_bit_for_bit(dropout, dim, with_dev):
                 matrix[ids], noisy)
 
     train, x, y = split(300, "train")  # 300 = 4 * 64 + 44: a ragged batch
-    dev, x_dev, y_dev = split(80, "dev") if with_dev else (None, None, None)
+    dev, x_dev, y_dev = split(80, "dev")
     hp = ProbeHyperparams(hidden=32, dropout=dropout, batch_size=64,
                           epochs=6, patience=2, seed=5)
     model = train_probe(matrix, vocab, train, dev, hp)
