@@ -55,7 +55,8 @@ def main():
     nu = bc.build_noise_model(table, vocab, pair, args.dtype)
     config = bc.ContextConfig(radius=args.radius, mode=args.mode,
                               log_weighting=not args.no_log)
-    embeddings = bc.embed_corpus(bc.stream_documents(text), vocab, nu, config)
+    interned = bc.intern_documents(bc.stream_documents(text))
+    embeddings = bc.embed_corpus(interned, vocab, nu, config)
     if not args.no_postproc:
         embeddings, _ = bc.pipeline(embeddings)
     print(f"embeddings: {embeddings.shape[0]} rows x "

@@ -16,8 +16,9 @@ from .cooc import (ContextConfig, accumulate_cooccurrence, aggregate,
                    embed_corpus)
 from .corpus import (EncodingError, FrequencyTable, TokenizerConfig,
                      Vocabulary, build_vocabulary, count_corpus,
-                     count_frequencies, read_frequency_table,
-                     stream_documents, stream_tokens, write_frequency_table)
+                     count_frequencies, intern_documents,
+                     read_frequency_table, stream_documents, stream_tokens,
+                     write_frequency_table)
 from .embedio import (OOV_TOKEN, read_embeddings, read_embeddings_binary,
                       read_embeddings_text, row_tokens,
                       vocabulary_from_tokens, write_embeddings_binary,
@@ -35,8 +36,8 @@ __all__ = [
     "ContextConfig", "accumulate_cooccurrence", "aggregate", "embed_corpus",
     "EncodingError", "FrequencyTable", "TokenizerConfig", "Vocabulary",
     "build_vocabulary", "count_corpus", "count_frequencies",
-    "read_frequency_table", "stream_documents", "stream_tokens",
-    "write_frequency_table",
+    "intern_documents", "read_frequency_table", "stream_documents",
+    "stream_tokens", "write_frequency_table",
     "OOV_TOKEN", "read_embeddings", "read_embeddings_binary",
     "read_embeddings_text", "row_tokens", "vocabulary_from_tokens",
     "write_embeddings_binary", "write_embeddings_text",

@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import sys
 import traceback
-from collections import Counter
 from contextlib import contextmanager
 from dataclasses import asdict
 from itertools import chain
@@ -15,7 +14,8 @@ from .cipher import (build_cipher, build_noise_model, cipher_capacity,
                      save_cipher)
 from .cooc import ContextConfig, embed_corpus
 from .corpus import (OOV_TOKEN, TokenizerConfig, build_vocabulary,
-                     count_corpus, read_frequency_table, stream_documents,
+                     count_corpus, intern_documents, interned_frequencies,
+                     read_frequency_table, stream_documents,
                      write_frequency_table)
 from .embedio import (read_embeddings, row_tokens, vocabulary_from_tokens,
                       write_embeddings_binary, write_embeddings_text)
@@ -66,26 +66,30 @@ def _named(source):
         raise ValueError(f"{source}: {exc}") from None
 
 
-def _counted_documents(corpus, config: TokenizerConfig, table, freq):
-    """The documents of ``corpus``. After the last, refuse ``table``, read
-    from ``freq``, if its f column or D differs from the corpus's counts
-    under ``config``."""
-    counted: Counter[str] = Counter()
-    documents = 0
-    for document in stream_documents(corpus, config):
-        counted.update(document)
-        documents += bool(document)
-        yield document
+def _check_table(counted, table, corpus, freq) -> None:
+    """Refuse ``table``, read from ``freq``, unless it holds ``counted``, the
+    counts of ``corpus``. The message names the first difference: in f,
+    token by token in first-seen order, then in D, then in d."""
+    if (counted.counts == table.counts
+            and counted.total_documents == table.total_documents):
+        return
     mismatch = ("the frequency table belongs to another corpus or was "
                 "counted with other tokenizer flags")
-    for token in chain(counted, table.counts):
+    for token in chain(counted.counts, table.counts):
         f = table.counts.get(token, (0, 0))[0]
-        if counted[token] != f:
-            raise ValueError(f"token {token!r} has f={counted[token]} in "
-                             f"{corpus} but f={f} in {freq}: {mismatch}")
-    if documents != table.total_documents:
-        raise ValueError(f"{corpus} has D={documents} documents but {freq} "
-                         f"declares D={table.total_documents}: {mismatch}")
+        n = counted.counts.get(token, (0, 0))[0]
+        if n != f:
+            raise ValueError(f"token {token!r} has f={n} in {corpus} but "
+                             f"f={f} in {freq}: {mismatch}")
+    if counted.total_documents != table.total_documents:
+        raise ValueError(f"{corpus} has D={counted.total_documents} documents "
+                         f"but {freq} declares D={table.total_documents}: "
+                         f"{mismatch}")
+    for token, (_, n) in counted.counts.items():
+        d = table.counts[token][1]
+        if n != d:
+            raise ValueError(f"token {token!r} has d={n} in {corpus} but "
+                             f"d={d} in {freq}: {mismatch}")
 
 
 def cmd_count(args) -> int:
@@ -146,10 +150,12 @@ def cmd_embed(args) -> int:
         pair = build_cipher(vocab.size, args.bits)
         with _named(args.freq):
             nu = build_noise_model(table, vocab, pair, mode=args.dtype)
-        rows = embed_corpus(_counted_documents(args.corpus, config, table,
-                                               args.freq), vocab, nu, context)
+        interned = intern_documents(stream_documents(args.corpus, config))
+        _check_table(interned_frequencies(interned), table, args.corpus,
+                     args.freq)
+        rows = embed_corpus(interned, vocab, nu, context)
         # freed once aggregated, not held through post-processing and writing
-        del nu
+        del interned, nu
         if args.postproc:
             rows, report = pipeline(rows, epsilon=args.epsilon)
         _write_embeddings(rows, row_tokens(vocab), temp["embeddings"],

@@ -2,13 +2,10 @@
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
-from itertools import repeat
-from typing import Iterable
 
 from ._lazy import np
-from .corpus import Vocabulary
+from .corpus import Interned, Vocabulary
 
 BLOCK = 1 << 16  # sorted keys per ``aggregate`` step, run on to a row end
 
@@ -63,17 +60,15 @@ class CoocCounts:
     counts: np.ndarray
 
 
-def _row_ids(documents: Iterable[list[str]],
+def _row_ids(interned: Interned,
              vocab: Vocabulary) -> tuple[np.ndarray, np.ndarray]:
-    """Row id of each token, and the index of the document holding it."""
-    rows, lengths = array("q"), array("q")
-    get, oov = vocab.index.get, vocab.oov_index
-    for tokens in documents:
-        rows.extend(map(get, tokens, repeat(oov)))
-        lengths.append(len(tokens))
-    docs = np.repeat(np.arange(len(lengths), dtype=np.int64),
-                     np.frombuffer(lengths, dtype=np.int64))
-    return np.frombuffer(rows, dtype=np.int64), docs
+    """Row id of each token, and the index of the document holding it; each
+    distinct token is looked up once."""
+    types, ids, lengths = interned
+    rows = np.fromiter(map(vocab.row_for, types), dtype=np.int64,
+                       count=len(types))
+    docs = np.repeat(np.arange(len(lengths), dtype=np.int64), lengths)
+    return rows[ids], docs
 
 
 def _offset_counts(ids: np.ndarray, docs: np.ndarray, n: int,
@@ -92,9 +87,10 @@ def _offset_counts(ids: np.ndarray, docs: np.ndarray, n: int,
             np.concatenate([counts for _, counts in parts]))
 
 
-def accumulate_cooccurrence(documents: Iterable[list[str]], vocab: Vocabulary,
+def accumulate_cooccurrence(interned: Interned, vocab: Vocabulary,
                             config: ContextConfig) -> CoocCounts:
-    """Count windowed neighbor pairs, never crossing document boundaries.
+    """Count windowed neighbor pairs of interned documents, never crossing
+    document boundaries.
 
     Every neighbor at offset o, 1 <= |o| <= radius, within the same document
     increments the (center[, o], context) cell by one. Out-of-vocabulary
@@ -104,7 +100,7 @@ def accumulate_cooccurrence(documents: Iterable[list[str]], vocab: Vocabulary,
     if 2 * config.radius * n * n >= 2 ** 63:
         raise ValueError(f"radius {config.radius} over {n} rows overflows "
                          f"the int64 co-occurrence key space")
-    keys, counts = _offset_counts(*_row_ids(documents, vocab), n, config)
+    keys, counts = _offset_counts(*_row_ids(interned, vocab), n, config)
     # Merge the sorted runs (timsort finds them) and add a cell's counts over
     # sum offsets, compacting in place so freed temporaries go back to the OS.
     order = np.argsort(keys, kind="stable")
@@ -160,8 +156,9 @@ def aggregate(counts: CoocCounts, nu: np.ndarray,
     return out.reshape(n_rows, slots * bits)
 
 
-def embed_corpus(documents: Iterable[list[str]], vocab: Vocabulary,
-                 nu: np.ndarray, config: ContextConfig) -> np.ndarray:
-    """Count the documents' windows and aggregate the noisy vectors ``nu``."""
-    return aggregate(accumulate_cooccurrence(documents, vocab, config), nu,
+def embed_corpus(interned: Interned, vocab: Vocabulary, nu: np.ndarray,
+                 config: ContextConfig) -> np.ndarray:
+    """Count the interned documents' windows and aggregate the noisy vectors
+    ``nu``."""
+    return aggregate(accumulate_cooccurrence(interned, vocab, config), nu,
                      config)

@@ -6,11 +6,15 @@ import gzip
 import io
 import re
 import zlib
-from collections import Counter
+from array import array
+from collections import Counter, defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import count
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator
+
+from ._lazy import np
 
 GZIP_MAGIC = b"\x1f\x8b"
 
@@ -159,6 +163,42 @@ def count_frequencies(documents: Iterable[list[str]]) -> FrequencyTable:
             docs += 1
     counts = {t: (freqs[t], doc_freqs[t]) for t in freqs}
     return FrequencyTable(counts, freqs.total(), docs)
+
+
+# types, ids, lengths: what intern_documents returns (quoted, so that
+# numpy stays unloaded)
+Interned = tuple[list[str], "np.ndarray", "np.ndarray"]
+
+
+def intern_documents(documents: Iterable[list[str]]) -> Interned:
+    """Walk ``documents`` once: the distinct tokens in first-seen order, the
+    int64 index of each token among them, and each document's length."""
+    index = defaultdict(count().__next__)
+    ids, lengths = array("q"), array("q")
+    for tokens in documents:
+        ids.extend(map(index.__getitem__, tokens))
+        lengths.append(len(tokens))
+    return (list(index), np.frombuffer(ids, dtype=np.int64),
+            np.frombuffer(lengths, dtype=np.int64))
+
+
+def interned_frequencies(interned: Interned) -> FrequencyTable:
+    """The counts of :func:`count_frequencies` from interned documents, the
+    tokens in first-seen order."""
+    types, ids, lengths = interned
+    n = len(types)
+    # Sorted (document, type) keys: each distinct one is a document holding
+    # the type. The keys fit int64 unless documents and types both number in
+    # the billions.
+    keys = np.repeat(np.arange(len(lengths), dtype=np.int64) * n, lengths)
+    keys += ids
+    keys.sort()
+    first = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    f = np.bincount(ids, minlength=n).tolist()
+    d = np.bincount(keys[first] % n, minlength=n).tolist()
+    return FrequencyTable(dict(zip(types, zip(f, d))), len(keys),
+                          int(np.count_nonzero(lengths)))
 
 
 def count_corpus(path: str | Path, config: TokenizerConfig = TokenizerConfig(),

@@ -31,8 +31,13 @@ def sidecar(artifact: str | Path, kind: str) -> Path:
 
 
 def _check_outputs(inputs: dict, outputs: list) -> set:
-    """Refuse an output path that is an input, another output or a directory,
-    or that sits in a missing directory; return every path's real path."""
+    """Refuse an input that exists but is not a regular file (a pipe or a
+    device cannot be hashed after it is read), and an output path that is
+    an input, another output or a directory, or that sits in a missing
+    directory; return every path's real path."""
+    for path in inputs.values():
+        if os.path.exists(path) and not os.path.isfile(path):
+            raise ValueError(f"{path}: input is not a regular file")
     taken = {os.path.realpath(path): "an input" for path in inputs.values()}
     for path in outputs:
         real = os.path.realpath(path)

@@ -148,7 +148,8 @@ def test_criterion_4_dimension_law():
         pair = bc.build_cipher(vocab.size, bits)
         nu = bc.build_noise_model(table, vocab, pair, "unigram")
         config = bc.ContextConfig(radius=4, mode="cat")
-        out = bc.embed_corpus(bc.stream_documents(text), vocab, nu, config)
+        out = bc.embed_corpus(
+            bc.intern_documents(bc.stream_documents(text)), vocab, nu, config)
         assert out.shape[1] == dim == 2 * 4 * bits
         assert config.output_dim(bits) == dim
     print("PASS criterion 4: cat dimension equals 2*r*b on the r=4 grid "
@@ -200,15 +201,17 @@ def test_criterion_5_cooccurrence_oracle_equivalence():
                                 ("sum", False), ("cat", False)):
         config = bc.ContextConfig(radius=4, mode=mode,
                                   log_weighting=log_weighting)
-        fused = bc.embed_corpus(bc.stream_documents(text), vocab, nu, config)
+        fused = bc.embed_corpus(
+            bc.intern_documents(bc.stream_documents(text)), vocab, nu, config)
         expected = _brute_force_embedding(docs, vocab, nu, config)
         assert np.all(np.abs(fused - expected) < 1e-9)
 
     # cat slots fold back to the sum rows (linear weighting)
     config_cat = bc.ContextConfig(radius=4, mode="cat")
     config_sum = bc.ContextConfig(radius=4, mode="sum")
-    cat = bc.embed_corpus(bc.stream_documents(text), vocab, nu, config_cat)
-    summed = bc.embed_corpus(bc.stream_documents(text), vocab, nu, config_sum)
+    interned = bc.intern_documents(bc.stream_documents(text))
+    cat = bc.embed_corpus(interned, vocab, nu, config_cat)
+    summed = bc.embed_corpus(interned, vocab, nu, config_sum)
     bits = pair.bits
     folded = sum(cat[:, s * bits:(s + 1) * bits] for s in range(8))
     scale = np.maximum(np.abs(summed), 1e-30)
@@ -311,8 +314,9 @@ def test_criterion_8_probe_sanity():
     pair = bc.build_cipher(corpus_vocab.size, 25)
     nu = bc.build_noise_model(table, corpus_vocab, pair, "df")
     config = bc.ContextConfig(radius=4, mode="sum", log_weighting=True)
-    embeddings = bc.embed_corpus(bc.stream_documents(text), corpus_vocab, nu,
-                                 config)
+    embeddings = bc.embed_corpus(
+        bc.intern_documents(bc.stream_documents(text)), corpus_vocab, nu,
+        config)
     embeddings, _ = bc.pipeline(embeddings)
 
     _, holdout_types = split_types(seed=0)

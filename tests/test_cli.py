@@ -348,6 +348,24 @@ def test_embed_rejects_frequency_table_of_other_tokenizer_flags(
     assert not Path(str(out) + ".manifest.json").exists()
 
 
+def test_embed_rejects_table_whose_document_frequencies_differ(tmp_path,
+                                                              capsys):
+    # same f and D, other d: --dtype df would build other vectors
+    counted, corpus = tmp_path / "A.txt", tmp_path / "B.txt"
+    counted.write_text("a b\na b\nc c\n")
+    corpus.write_text("a a\nb b\nc c\n")
+    freq, out = tmp_path / "freq.tsv", tmp_path / "emb.txt"
+    assert main(["count", str(counted), "--out", str(freq)]) == 0
+    capsys.readouterr()
+    assert main(["embed", str(corpus), "--freq", str(freq), "--out", str(out),
+                 "--bits", "3", "--dtype", "df"]) == 2
+    err = capsys.readouterr().err
+    assert (f"error: token 'a' has d=1 in {corpus} but d=2 in {freq}: the "
+            "frequency table belongs to another corpus" in err)
+    assert not out.exists()
+    assert not Path(str(out) + ".manifest.json").exists()
+
+
 @pytest.mark.parametrize("row", ["tok\t0\t0", "tok\t-1\t1", "tok\t2\t3",
                                  "tok\t999\t1"])
 def test_embed_rejects_frequency_row_out_of_range(tmp_path, corpus_file,
@@ -435,6 +453,18 @@ def test_output_path_clash_exits_2(tmp_path, corpus_file, capsys, monkeypatch,
     assert message in capsys.readouterr().err
     # no input changed and nothing was written, manifests included
     assert _tree(tmp_path) == before
+
+
+def test_input_that_is_not_a_regular_file_exits_2(tmp_path):
+    # a manifest re-reads its inputs to hash them, which a pipe cannot give
+    out = tmp_path / "p.tsv"
+    result = subprocess.run(
+        [sys.executable, "-m", "bitcipher.cli", "count", "/dev/stdin",
+         "--out", str(out)], input="a a\nb c\n", env=_fresh_env(),
+        capture_output=True, text=True, timeout=60)
+    assert result.returncode == 2
+    assert "error: /dev/stdin: input is not a regular file" in result.stderr
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("command", ["embed", "postproc"])
@@ -938,7 +968,8 @@ def test_embed_refuses_impossible_flags_before_the_corpus(
                          tmp_path / "emb.txt")
     corpus.write_text("a b c d e\na b c\n")
     assert main(["count", str(corpus), "--out", str(freq)]) == 0
-    # the command fails with exit 1 if it reaches the co-occurrence pass
+    # the command fails with exit 1 if it reads the corpus
+    monkeypatch.setattr(cli, "intern_documents", _not_read)
     monkeypatch.setattr(cli, "embed_corpus", _not_read)
     capsys.readouterr()
     assert main(["embed", str(corpus), "--freq", str(freq), "--out",

@@ -11,7 +11,7 @@ from bitcipher.cipher import build_cipher, build_noise_model
 from bitcipher.cooc import (ContextConfig, CoocCounts, accumulate_cooccurrence,
                             aggregate, embed_corpus)
 from bitcipher.corpus import (build_vocabulary, count_frequencies,
-                              stream_documents)
+                              intern_documents, stream_documents)
 from bitcipher.synth import generate_tagged_sentences, sentences_to_text
 
 
@@ -21,6 +21,10 @@ def _setup(text, bits, noise_mode="unigram", max_vocab=None):
     pair = build_cipher(vocab.size, bits)
     nu = build_noise_model(table, vocab, pair, noise_mode)
     return table, vocab, pair, nu
+
+
+def _interned(text):
+    return intern_documents(stream_documents(text))
 
 
 def _cells(counts):
@@ -88,7 +92,7 @@ def test_hand_enumerated_sum_counts():
     text = b"a b a\n"
     _, vocab, _, _ = _setup(text, 3)
     a, b = vocab.row_for("a"), vocab.row_for("b")
-    counts = accumulate_cooccurrence(stream_documents(text), vocab,
+    counts = accumulate_cooccurrence(_interned(text), vocab,
                                      ContextConfig(radius=1, mode="sum"))
     assert _cells(counts) == {(a, b): 2, (b, a): 2}
 
@@ -97,7 +101,7 @@ def test_hand_enumerated_cat_counts():
     text = b"a b a\n"
     _, vocab, _, _ = _setup(text, 3)
     a, b = vocab.row_for("a"), vocab.row_for("b")
-    counts = accumulate_cooccurrence(stream_documents(text), vocab,
+    counts = accumulate_cooccurrence(_interned(text), vocab,
                                      ContextConfig(radius=1, mode="cat"))
     assert _cells(counts) == {(a, 1, b): 1, (a, -1, b): 1,
                               (b, -1, a): 1, (b, 1, a): 1}
@@ -106,7 +110,7 @@ def test_hand_enumerated_cat_counts():
 def test_windows_do_not_cross_documents():
     text = b"a b\nc d\n"
     _, vocab, _, _ = _setup(text, 3)
-    counts = accumulate_cooccurrence(stream_documents(text), vocab,
+    counts = accumulate_cooccurrence(_interned(text), vocab,
                                      ContextConfig(radius=4, mode="sum"))
     first = {vocab.row_for("a"), vocab.row_for("b")}
     second = {vocab.row_for("c"), vocab.row_for("d")}
@@ -119,7 +123,7 @@ def test_every_document_id_change_starts_a_new_window():
     documents = [["a"], ["b"], ["a", "b"]]
     _, vocab, _, _ = _setup(b"a b\n", 3)
     a, b = vocab.row_for("a"), vocab.row_for("b")
-    counts = accumulate_cooccurrence(documents, vocab,
+    counts = accumulate_cooccurrence(intern_documents(documents), vocab,
                                      ContextConfig(radius=3, mode="sum"))
     assert _cells(counts) == {(a, b): 1, (b, a): 1}
 
@@ -138,7 +142,7 @@ def test_counts_match_brute_force(mode):
     text = _random_corpus(rng, 1000)
     _, vocab, _, _ = _setup(text, 6)  # capacity 63 > 30 types
     config = ContextConfig(radius=4, mode=mode)
-    counts = accumulate_cooccurrence(stream_documents(text), vocab, config)
+    counts = accumulate_cooccurrence(_interned(text), vocab, config)
     docs = [line.split() for line in text.decode().splitlines()]
     assert _cells(counts) == _brute_force_counts(docs, vocab, config)
 
@@ -147,7 +151,7 @@ def test_oov_neighbors_use_oov_row():
     text = b"a b c a b c rare\n"
     _, vocab, _, _ = _setup(text, 3, max_vocab=3)
     assert vocab.row_for("rare") == vocab.oov_index
-    counts = accumulate_cooccurrence(stream_documents(text), vocab,
+    counts = accumulate_cooccurrence(_interned(text), vocab,
                                      ContextConfig(radius=1, mode="sum"))
     oov = vocab.oov_index
     c = vocab.row_for("c")
@@ -184,7 +188,7 @@ def test_self_cooccurrence_of_repeated_token():
     _, vocab, pair, nu = _setup(text, 3)
     x = vocab.row_for("x")
     config = ContextConfig(radius=1, mode="sum")
-    out = embed_corpus(stream_documents(text), vocab, nu, config)
+    out = embed_corpus(_interned(text), vocab, nu, config)
     # neighbors are the token itself: 6 windowed pairs in the first document
     assert np.allclose(out[x], 6 * nu[x], atol=1e-12)
 
@@ -193,9 +197,9 @@ def test_include_center_adds_own_vector_once():
     text = b"a b\n"
     _, vocab, pair, nu = _setup(text, 4)
     a = vocab.row_for("a")
-    base = embed_corpus(stream_documents(text), vocab, nu,
+    base = embed_corpus(_interned(text), vocab, nu,
                         ContextConfig(radius=1, mode="sum"))
-    with_center = embed_corpus(stream_documents(text), vocab, nu,
+    with_center = embed_corpus(_interned(text), vocab, nu,
                                ContextConfig(radius=1, mode="sum",
                                              include_center=True))
     assert np.allclose(with_center[a], base[a] + nu[a])
@@ -204,9 +208,9 @@ def test_include_center_adds_own_vector_once():
 def test_cat_ignores_include_center():
     text = b"a b c\n"
     _, vocab, pair, nu = _setup(text, 4)
-    plain = embed_corpus(stream_documents(text), vocab, nu,
+    plain = embed_corpus(_interned(text), vocab, nu,
                          ContextConfig(radius=2, mode="cat"))
-    flagged = embed_corpus(stream_documents(text), vocab, nu,
+    flagged = embed_corpus(_interned(text), vocab, nu,
                            ContextConfig(radius=2, mode="cat",
                                          include_center=True))
     assert np.array_equal(plain, flagged)
@@ -218,9 +222,9 @@ def test_cat_ignores_include_center():
 def test_dimension_law(bits, radius):
     text = b"a b c d e f g h\n"
     _, vocab, pair, nu = _setup(text, bits)
-    sum_out = embed_corpus(stream_documents(text), vocab, nu,
+    sum_out = embed_corpus(_interned(text), vocab, nu,
                            ContextConfig(radius=radius, mode="sum"))
-    cat_out = embed_corpus(stream_documents(text), vocab, nu,
+    cat_out = embed_corpus(_interned(text), vocab, nu,
                            ContextConfig(radius=radius, mode="cat"))
     assert sum_out.shape[1] == bits
     assert cat_out.shape[1] == 2 * radius * bits
@@ -233,9 +237,9 @@ def test_cat_slot_sum_equals_sum_row():
     text = _random_corpus(rng, 800)
     _, vocab, pair, nu = _setup(text, 6)
     radius = 3
-    cat = embed_corpus(stream_documents(text), vocab, nu,
+    cat = embed_corpus(_interned(text), vocab, nu,
                        ContextConfig(radius=radius, mode="cat"))
-    summed = embed_corpus(stream_documents(text), vocab, nu,
+    summed = embed_corpus(_interned(text), vocab, nu,
                           ContextConfig(radius=radius, mode="sum"))
     bits = pair.bits
     folded = sum(cat[:, s * bits:(s + 1) * bits]
@@ -248,9 +252,9 @@ def test_offset_marginal_matches_sum_counts():
     rng = random.Random(13)
     text = _random_corpus(rng, 600)
     _, vocab, _, _ = _setup(text, 6)
-    cat = accumulate_cooccurrence(stream_documents(text), vocab,
+    cat = accumulate_cooccurrence(_interned(text), vocab,
                                   ContextConfig(radius=2, mode="cat"))
-    summed = accumulate_cooccurrence(stream_documents(text), vocab,
+    summed = accumulate_cooccurrence(_interned(text), vocab,
                                      ContextConfig(radius=2, mode="sum"))
     marginal = _fold(((center, context), c)
                      for (center, _, context), c in _cells(cat).items())
@@ -268,7 +272,7 @@ def test_fused_matches_independent_brute_force(seed, tokens, noise_mode,
     _, vocab, pair, nu = _setup(text, 6, noise_mode=noise_mode)
     for mode in modes:
         config = ContextConfig(radius=4, mode=mode, log_weighting=True)
-        fused = embed_corpus(stream_documents(text), vocab, nu, config)
+        fused = embed_corpus(_interned(text), vocab, nu, config)
         docs = [line.split() for line in text.decode().splitlines()]
         counts = _brute_force_counts(docs, vocab, config)
         expected = _brute_force_rows(counts, nu, config, vocab.size + 1)
@@ -280,8 +284,8 @@ def test_rows_with_neighbors_are_nonzero():
     text = _random_corpus(rng, 500)
     _, vocab, pair, nu = _setup(text, 6)
     config = ContextConfig(radius=2, mode="sum")
-    counts = accumulate_cooccurrence(stream_documents(text), vocab, config)
-    out = embed_corpus(stream_documents(text), vocab, nu, config)
+    counts = accumulate_cooccurrence(_interned(text), vocab, config)
+    out = embed_corpus(_interned(text), vocab, nu, config)
     centers_with_neighbors = {c for c, _ in _cells(counts)}
     for center in centers_with_neighbors:
         assert np.any(out[center] != 0.0)
@@ -291,7 +295,7 @@ def test_empty_corpus_gives_zero_matrix():
     text = b""
     table, vocab, pair, nu = _setup(b"a b\n", 4)  # vocab from a real corpus
     config = ContextConfig(radius=2, mode="cat")
-    out = embed_corpus(stream_documents(text), vocab, nu, config)
+    out = embed_corpus(_interned(text), vocab, nu, config)
     assert out.shape == (vocab.size + 1, 2 * 2 * 4)
     assert np.all(out == 0.0)
 
@@ -306,10 +310,13 @@ def test_shard_merge_equals_single_pass(docs, cut, radius, mode):
         return
     vocab = build_vocabulary(table, 4)
     config = ContextConfig(radius=radius, mode=mode)
-    whole = accumulate_cooccurrence(documents, vocab, config)
+    whole = accumulate_cooccurrence(intern_documents(documents), vocab, config)
     first, second = documents[:cut], documents[cut:]
-    merged = _fold(_cells(accumulate_cooccurrence(first, vocab, config)).items(),
-                   _cells(accumulate_cooccurrence(second, vocab, config)).items())
+    merged = _fold(
+        _cells(accumulate_cooccurrence(intern_documents(first), vocab,
+                                       config)).items(),
+        _cells(accumulate_cooccurrence(intern_documents(second), vocab,
+                                       config)).items())
     assert merged == _cells(whole)
 
 
@@ -319,8 +326,8 @@ def test_monotone_growth_when_adding_documents():
     extra = base + _random_corpus(rng, 100)
     _, vocab, _, _ = _setup(extra, 6)
     config = ContextConfig(radius=2, mode="sum")
-    before = accumulate_cooccurrence(stream_documents(base), vocab, config)
-    after = accumulate_cooccurrence(stream_documents(extra), vocab, config)
+    before = accumulate_cooccurrence(_interned(base), vocab, config)
+    after = accumulate_cooccurrence(_interned(extra), vocab, config)
     after_cells = _cells(after)
     for key, c in _cells(before).items():
         assert after_cells.get(key, 0) >= c
@@ -329,7 +336,7 @@ def test_monotone_growth_when_adding_documents():
 def test_aggregate_rejects_mismatched_config():
     text = b"a b\n"
     _, vocab, pair, nu = _setup(text, 4)
-    counts = accumulate_cooccurrence(stream_documents(text), vocab,
+    counts = accumulate_cooccurrence(_interned(text), vocab,
                                      ContextConfig(radius=1, mode="sum"))
     with pytest.raises(ValueError):
         aggregate(counts, nu, ContextConfig(radius=2, mode="sum"))
@@ -348,7 +355,7 @@ def test_key_space_overflow_is_rejected():
     text = b"a b c\n"
     _, vocab, _, _ = _setup(text, 3)
     with pytest.raises(ValueError, match="key space"):
-        accumulate_cooccurrence(stream_documents(text), vocab,
+        accumulate_cooccurrence(_interned(text), vocab,
                                 ContextConfig(radius=2 ** 62, mode="cat"))
 
 
@@ -375,7 +382,7 @@ GOLDEN_ROWS_SHA256 = {
 def test_embedding_bytes_match_golden_digest(config):
     text, table, vocab, nu = _golden_inputs()
     assert vocab.size < len(table.counts)  # some tokens land on the OOV row
-    rows = embed_corpus(stream_documents(text), vocab, nu, config)
+    rows = embed_corpus(_interned(text), vocab, nu, config)
     assert hashlib.sha256(rows.tobytes()).hexdigest() == \
         GOLDEN_ROWS_SHA256[config.mode]
 
@@ -391,14 +398,14 @@ def test_aggregate_blocks_split_rows_without_changing_bytes(monkeypatch,
     # runs on to the end of the row it stops in, so with 1 or 3 keys a block
     # holds one or a few whole rows; no block ever splits a row.
     text, _, vocab, nu = _golden_inputs()
-    counts = accumulate_cooccurrence(stream_documents(text), vocab, config)
+    counts = accumulate_cooccurrence(_interned(text), vocab, config)
     assert np.all(np.diff(counts.keys) > 0)
     assert np.all(counts.counts >= 1)
     assert len(counts.keys) > 4096
     expected = aggregate(counts, nu, config).tobytes()
     for block in (1, 3, 4096):
         monkeypatch.setattr(cooc, "BLOCK", block)
-        assert embed_corpus(stream_documents(text), vocab, nu,
+        assert embed_corpus(_interned(text), vocab, nu,
                             config).tobytes() == expected
 
 
@@ -476,7 +483,7 @@ def _row_ids_per_token(documents, vocab):
 @example(docs=[[], ["a"], [], ["b", "x"], []])
 def test_row_ids_match_per_token_reference(docs):
     _, vocab, _, _ = _setup(b"a b c a b a d\n", 3)  # x and y are OOV
-    rows, doc_ids = cooc._row_ids(iter(docs), vocab)
+    rows, doc_ids = cooc._row_ids(intern_documents(iter(docs)), vocab)
     want_rows, want_docs = _row_ids_per_token(docs, vocab)
     assert rows.dtype == doc_ids.dtype == np.int64
     assert rows.tobytes() == want_rows.tobytes()

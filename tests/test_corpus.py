@@ -4,13 +4,15 @@ import re
 import sys
 from collections import defaultdict
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from bitcipher.cli import main
 from bitcipher.corpus import (OOV_TOKEN, EncodingError, FrequencyTable,
                               TokenizerConfig, build_vocabulary,
-                              count_frequencies, read_frequency_table,
+                              count_frequencies, intern_documents,
+                              interned_frequencies, read_frequency_table,
                               stream_documents, stream_tokens, tokenize_line,
                               write_frequency_table)
 
@@ -148,6 +150,23 @@ def test_count_empty_stream():
     assert table.counts == {}
     assert table.total_tokens == 0
     assert table.total_documents == 0
+
+
+@given(docs=st.lists(st.lists(st.sampled_from("abcdxy"), max_size=6),
+                     max_size=8))
+@example(docs=[])
+@example(docs=[[]])
+@example(docs=[[], ["a"], [], ["b", "a", "b"], []])
+def test_interned_tally_matches_count_frequencies(docs):
+    interned = intern_documents(iter(docs))
+    types, ids, lengths = interned
+    assert types == list(dict.fromkeys(t for doc in docs for t in doc))
+    assert ids.dtype == lengths.dtype == np.int64
+    assert [types[i] for i in ids] == [t for doc in docs for t in doc]
+    assert lengths.tolist() == [len(doc) for doc in docs]
+    table = interned_frequencies(interned)
+    assert table == count_frequencies(docs)
+    assert list(table.counts) == types
 
 
 def _brute_force_count(text):
