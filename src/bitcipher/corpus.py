@@ -193,8 +193,7 @@ def interned_frequencies(interned: Interned) -> FrequencyTable:
     keys = np.repeat(np.arange(len(lengths), dtype=np.int64) * n, lengths)
     keys += ids
     keys.sort()
-    first = np.ones(len(keys), dtype=bool)
-    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    first = np.diff(keys, prepend=-1) != 0
     f = np.bincount(ids, minlength=n).tolist()
     d = np.bincount(keys[first] % n, minlength=n).tolist()
     return FrequencyTable(dict(zip(types, zip(f, d))), len(keys),
