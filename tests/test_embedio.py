@@ -1,5 +1,10 @@
+import json
+import os
 import struct
+import subprocess
+import sys
 import tempfile
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -8,6 +13,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import bitcipher
+from bitcipher import embedio
+from bitcipher.cli import main
 from bitcipher.corpus import Vocabulary
 from bitcipher.embedio import (OOV_TOKEN, escape_token, read_embeddings,
                                read_embeddings_binary, read_embeddings_text,
@@ -329,3 +337,176 @@ def test_text_reader_header_only_file(tmp_path):
         rows, tokens = read_embeddings_text(path)
     assert rows.shape == (0, 3)
     assert tokens == []
+
+
+# ---------------------------------------------------------------------------
+# the text writer's second process
+# ---------------------------------------------------------------------------
+
+STRAY_CHILD = 70
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Every test here leaves no child to reap. A forked writer that
+    returns into the test instead of exiting would run the rest of the
+    session a second time; it ends here, with a status the writer's error
+    message shows."""
+    pid = os.getpid()
+    yield
+    if os.getpid() != pid:
+        os._exit(STRAY_CHILD)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Give the writer two CPUs and record each fork it makes."""
+    made = []
+    fork = os.fork
+
+    def counted_fork():
+        made.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    return made
+
+
+def _odd_rows(n, dim=5):
+    """Rows of mixed magnitudes, and tokens that need escaping."""
+    rows = np.random.default_rng(n).normal(size=(n, dim)) * 10.0 ** (
+        np.arange(dim) % 7 - 3)
+    tokens = [f"t{i}%" + ("x y" if i % 2 else "a\tb") for i in range(n - 1)]
+    return rows, (tokens + [OOV_TOKEN] if n else [])
+
+
+def _one_process_text(rows, tokens, path):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(embedio, "_second_cpu", lambda: False)
+        write_embeddings_text(rows, tokens, path)
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 101])
+def test_split_text_writer_matches_one_process(tmp_path, monkeypatch, forks,
+                                               n):
+    rows, tokens = _odd_rows(n)
+    want = _one_process_text(rows, tokens, tmp_path / "one.txt")
+    monkeypatch.setattr(embedio, "_SPLIT_VALUES", 0)
+    path = tmp_path / "two.txt"
+    write_embeddings_text(rows, tokens, path)
+    assert forks == [os.getpid()]
+    assert path.read_bytes() == want
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["one.txt", "two.txt"]
+
+
+@pytest.mark.parametrize("missing", ["fork", "sched_getaffinity", "one cpu"])
+def test_text_writer_falls_back_to_one_process(tmp_path, monkeypatch, missing):
+    rows, tokens = _odd_rows(101)
+    want = _one_process_text(rows, tokens, tmp_path / "one.txt")
+    monkeypatch.setattr(embedio, "_SPLIT_VALUES", 0)
+    if missing == "one cpu":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+    else:
+        monkeypatch.delattr(os, missing, raising=False)
+    if hasattr(os, "fork"):
+        monkeypatch.setattr(os, "fork", pytest.fail)
+    path = tmp_path / "emb.txt"
+    write_embeddings_text(rows, tokens, path)
+    assert path.read_bytes() == want
+
+
+def test_export_text_above_the_threshold_matches_one_process(tmp_path,
+                                                            forks):
+    n = embedio._SPLIT_VALUES // 100 + 1
+    rows, tokens = _odd_rows(n, dim=100)
+    assert rows.size >= embedio._SPLIT_VALUES
+    source = tmp_path / "emb.bin"
+    write_embeddings_binary(rows, tokens, source)
+
+    def export(name):
+        out = tmp_path / name
+        assert main(["export", str(source), "--out", str(out),
+                     "--format", "text"]) == 0
+        manifest = json.loads(Path(f"{out}.manifest.json").read_text())
+        return out.read_bytes(), manifest["outputs"]["embeddings"]["sha256"]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(embedio, "_second_cpu", lambda: False)
+        want = export("one.txt")
+    assert not forks
+    assert export("two.txt") == want
+    assert len(forks) == 1
+
+
+def test_failed_child_exits_2_and_leaves_no_file(tmp_path, monkeypatch,
+                                                  capsys, forks):
+    rows, tokens = _odd_rows(101)
+    source = tmp_path / "emb.bin"
+    write_embeddings_binary(rows, tokens, source)
+    write_rows, pid = embedio._write_rows, os.getpid()
+
+    def child_fails(*args):
+        if os.getpid() != pid:
+            raise OSError("the child's half failed")
+        write_rows(*args)
+
+    monkeypatch.setattr(embedio, "_write_rows", child_fails)
+    monkeypatch.setattr(embedio, "_SPLIT_VALUES", 0)
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    out = out_dir / "emb.txt"
+    assert main(["export", str(source), "--out", str(out),
+                 "--format", "text"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {out}: the process writing rows 50 to 100 failed "
+        "(exit status 1)\n")
+    assert forks == [pid]
+    assert list(out_dir.iterdir()) == []
+
+
+def test_failed_parent_half_kills_and_reaps_the_child(tmp_path, monkeypatch,
+                                                      forks):
+    rows, tokens = _odd_rows(101)
+    pid = os.getpid()
+
+    def parent_fails(*args):
+        if os.getpid() == pid:
+            raise OSError("the parent's half failed")
+        time.sleep(60)
+
+    monkeypatch.setattr(embedio, "_write_rows", parent_fails)
+    monkeypatch.setattr(embedio, "_SPLIT_VALUES", 0)
+    start = time.perf_counter()
+    with pytest.raises(OSError, match="the parent's half failed"):
+        write_embeddings_text(rows, tokens, tmp_path / "emb.txt")
+    # killed, not waited for
+    assert time.perf_counter() - start < 30
+    assert forks == [pid]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_split_writer_child_flushes_no_inherited_buffer(tmp_path):
+    # stdout is a pipe, so "once" sits in the interpreter's buffer at the
+    # fork; a child that exited through the interpreter would flush it too
+    code = ("import os, sys, numpy as np\n"
+            "from bitcipher import embedio\n"
+            "embedio._SPLIT_VALUES = 0\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "sys.stdout.write('once')\n"
+            "embedio.write_embeddings_text(np.eye(3), ['a', 'b', 'c'], "
+            "sys.argv[1])\n")
+    src = str(Path(bitcipher.__file__).resolve().parent.parent)
+    result = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path / "emb.txt")],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=60)
+    assert (result.returncode, result.stdout, result.stderr) == (0, "once", "")
+    assert (tmp_path / "emb.txt").read_text() == (
+        "3 3\na 1 0 0\nb 0 1 0\nc 0 0 1\n")
