@@ -157,7 +157,9 @@ def cmd_embed(args) -> int:
         # freed once aggregated, not held through post-processing and writing
         del interned, nu
         if args.postproc:
-            rows, report = pipeline(rows, epsilon=args.epsilon)
+            # refined over the aggregate's buffer, which is freed on return
+            rows, report = pipeline(rows, epsilon=args.epsilon,
+                                    overwrite_rows=True)
         _write_embeddings(rows, row_tokens(vocab), temp["embeddings"],
                           args.format)
         if args.save_cipher:
@@ -179,9 +181,10 @@ def cmd_postproc(args) -> int:
                   "report": sidecar(args.out, "report")}) as temp:
         rows, tokens = read_embeddings(args.embeddings)
         with _named(args.embeddings):
-            refined, report = pipeline(rows, epsilon=args.epsilon,
-                                       row_mean=args.row_mean)
-        _write_embeddings(refined, tokens, temp["embeddings"], args.format)
+            rows, report = pipeline(rows, epsilon=args.epsilon,
+                                    row_mean=args.row_mean,
+                                    overwrite_rows=True)
+        _write_embeddings(rows, tokens, temp["embeddings"], args.format)
         write_json(asdict(report), temp["report"])
     print(f"postprocessed {rows.shape[0]} rows ({', '.join(report.steps)}) "
           f"-> {args.out}")

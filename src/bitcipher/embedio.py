@@ -18,6 +18,7 @@ import shutil
 import signal
 import struct
 import tempfile
+import warnings
 from collections import Counter
 from pathlib import Path
 from typing import Sequence
@@ -33,6 +34,8 @@ _BIN_HEADER = struct.Struct("<4sIII")
 # fork, the wait and the append cost as much as the half saves at 20,000 to
 # 50,000 values, and two processes win from 100,000 (45 -> 30 ms).
 _SPLIT_VALUES = 100_000
+# Rows the forked child formats between checks that its parent still lives.
+_CHILD_BLOCK_ROWS = 1024
 
 # Characters that would break the whitespace-delimited text format. '%' is
 # escaped too so the mapping stays injective; each direction is one pass.
@@ -118,19 +121,36 @@ def _write_halves(out, write, n: int, path: str | Path) -> None:
     unnamed temporary file beside ``path``, then append that file to
     ``out``. The child leaves only through ``os._exit``, so it never runs
     its caller's cleanup or flushes the buffers it inherited; the child is
-    always reaped, and killed first when this half fails. ``write`` must
-    call no BLAS: only the forking thread exists in the child, and a BLAS
-    pool's lock may be held by a thread that is gone."""
+    always reaped, and killed first when this half fails. Should this
+    process die first, the child leaves with status 1 at its next block of
+    :data:`_CHILD_BLOCK_ROWS` rows. ``write`` must call no BLAS: only the
+    forking thread exists in the child, and a BLAS pool's lock may be held
+    by a thread that is gone."""
     half = n // 2
+    parent = os.getpid()
     with tempfile.TemporaryFile(dir=Path(path).parent) as part:
-        pid = os.fork()
+        with warnings.catch_warnings():
+            # Python 3.12+ warns that a fork of a process with threads (a
+            # BLAS pool's) may deadlock the child. This child calls no BLAS,
+            # takes no lock a vanished thread could hold, and leaves
+            # through os._exit.
+            warnings.filterwarnings(
+                "ignore", r"This process \(pid=\d+\) is multi-threaded, "
+                r"use of fork\(\) may lead to deadlocks in the child",
+                DeprecationWarning)
+            pid = os.fork()
         if not pid:
             status = 1
             try:
                 with open(part.fileno(), "w", encoding="utf-8", newline="\n",
                           closefd=False) as child_out:
-                    write(child_out, half, n)
-                status = 0
+                    for start in range(half, n, _CHILD_BLOCK_ROWS):
+                        if os.getppid() != parent:
+                            break
+                        write(child_out, start,
+                              min(n, start + _CHILD_BLOCK_ROWS))
+                    else:
+                        status = 0
             finally:
                 os._exit(status)
         try:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 from contextlib import contextmanager, suppress
 from pathlib import Path
 
@@ -52,6 +53,36 @@ def _check_outputs(inputs: dict, outputs: list) -> set:
     return set(taken)
 
 
+def _running(pid: int) -> bool:
+    """False only when no process has ``pid``; a pid this process may not
+    signal counts as running, and so does any pid off POSIX, where
+    ``os.kill`` with signal 0 would interrupt the process."""
+    if os.name != "posix":
+        return True
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except (OSError, OverflowError):
+        pass
+    return True
+
+
+def _remove_orphaned_temps(finals: list) -> None:
+    """Remove each ``.<name>.<pid>.tmp`` sibling of ``finals`` that a
+    killed run left: a regular file whose pid is not running. A live pid,
+    even a reused one, keeps its file. Cleanup never fails the command."""
+    for final in map(Path, finals):
+        orphan = re.compile(rf"\.{re.escape(final.name)}\.([0-9]+)\.tmp")
+        with suppress(OSError), os.scandir(final.parent) as entries:
+            for entry in entries:
+                match = orphan.fullmatch(entry.name)
+                if (match and entry.is_file(follow_symlinks=False)
+                        and not _running(int(match[1]))):
+                    with suppress(FileNotFoundError):
+                        os.unlink(entry.path)
+
+
 @contextmanager
 def publish(artifact: str | Path, command: str, config: dict, inputs: dict,
             outputs: dict):
@@ -61,11 +92,14 @@ def publish(artifact: str | Path, command: str, config: dict, inputs: dict,
     report this run does not write (a regular file that is no input), move
     each output into place, and write the manifest last. On failure the
     temporary files are removed and the error names the output: no file
-    changes before the moves, and no manifest is left after a failed one."""
+    changes before the moves, and no manifest is left after a failed one.
+    Temporary files beside the outputs that a killed run left are removed
+    first."""
     manifest = sidecar(artifact, "manifest")
     report = sidecar(artifact, "report")
     finals = [*outputs.values(), manifest]
     taken = _check_outputs(inputs, finals)
+    _remove_orphaned_temps(finals)
     temps = [Path(path).with_name(f".{Path(path).name}.{os.getpid()}.tmp")
              for path in finals]
 

@@ -13,7 +13,9 @@ RANK_CUTOFF = 1e-8
 
 DEFAULT_EPSILON = 1e-5
 
-_NORM_BLOCK_ROWS = 4096  # rows squared at once when row norms are taken
+# Rows squared at once when row norms are taken. Each row's sum is the same
+# at any height; 256 rows keep the square a small fraction of the matrix.
+_NORM_BLOCK_ROWS = 256
 
 
 @dataclass
@@ -42,13 +44,18 @@ def check_epsilon(epsilon: float) -> None:
 
 
 def whiten(rows: np.ndarray, epsilon: float = DEFAULT_EPSILON,
-           report: PostprocReport | None = None) -> np.ndarray:
+           report: PostprocReport | None = None,
+           overwrite_rows: bool = False) -> np.ndarray:
     """Decorrelate columns so the feature covariance is the identity.
 
     Uses the symmetric inverse square root of the covariance, which rotates
     back into the original basis. Directions whose eigenvalue falls at or
     below RANK_CUTOFF are rescaled with an epsilon-regularized denominator
     instead of being blown up, and counted in the report.
+
+    ``overwrite_rows`` lets a float64 ``rows`` be centred in place and then
+    reused as scratch, as scipy's ``overwrite_a`` does: its contents are
+    undefined afterwards, and the result is the same bits either way.
     """
     check_epsilon(epsilon)
     rows = np.asarray(rows, dtype=np.float64)
@@ -60,7 +67,8 @@ def whiten(rows: np.ndarray, epsilon: float = DEFAULT_EPSILON,
     report = report if report is not None else PostprocReport()
     report.epsilon = epsilon
 
-    centered = rows - rows.mean(axis=0)
+    centered = np.subtract(rows, rows.mean(axis=0),
+                           out=rows if overwrite_rows else None)
     cov = centered.T @ centered / (n - 1)
     eigenvalues, eigenvectors = np.linalg.eigh(cov)
     eigenvalues = np.clip(eigenvalues, 0.0, None)
@@ -85,21 +93,21 @@ def whiten(rows: np.ndarray, epsilon: float = DEFAULT_EPSILON,
 
 def center_and_normalize(rows: np.ndarray,
                          report: PostprocReport | None = None,
-                         row_mean: bool = False) -> np.ndarray:
+                         row_mean: bool = False,
+                         overwrite_rows: bool = False) -> np.ndarray:
     """Subtract the column mean, then scale each row to unit L2 norm.
 
     ``row_mean`` switches to subtracting each row's own mean instead (kept
     for comparison; the column variant is the default). Rows that are zero
-    after centering are left zero and counted in the report.
+    after centering are left zero and counted in the report. With
+    ``overwrite_rows``, a float64 ``rows`` is refined in place and returned.
     """
     rows = np.asarray(rows, dtype=np.float64)
     if not np.isfinite(rows).all():
         raise ValueError("normalization requires finite entries")
     report = report if report is not None else PostprocReport()
-    if row_mean:
-        centered = rows - rows.mean(axis=1, keepdims=True)
-    else:
-        centered = rows - rows.mean(axis=0)
+    mean = rows.mean(axis=1, keepdims=True) if row_mean else rows.mean(axis=0)
+    centered = np.subtract(rows, mean, out=rows if overwrite_rows else None)
     # np.linalg.norm's reduction, over blocks of rows: no full-size square
     norms = np.empty(len(centered))
     for start in range(0, len(centered), _NORM_BLOCK_ROWS):
@@ -116,9 +124,17 @@ def center_and_normalize(rows: np.ndarray,
 
 
 def pipeline(rows: np.ndarray, epsilon: float = DEFAULT_EPSILON,
-             row_mean: bool = False) -> tuple[np.ndarray, PostprocReport]:
-    """Whiten, then center and L2-normalize; shape is always preserved."""
+             row_mean: bool = False, overwrite_rows: bool = False
+             ) -> tuple[np.ndarray, PostprocReport]:
+    """Whiten, then center and L2-normalize; shape is always preserved.
+
+    The whitened matrix is refined in place. With ``overwrite_rows`` the
+    input is whitening's scratch too (see :func:`whiten`), so the steps
+    hold the input and one more matrix; drop the input once this returns.
+    """
     report = PostprocReport()
-    whitened = whiten(rows, epsilon=epsilon, report=report)
-    refined = center_and_normalize(whitened, report=report, row_mean=row_mean)
+    whitened = whiten(rows, epsilon=epsilon, report=report,
+                      overwrite_rows=overwrite_rows)
+    refined = center_and_normalize(whitened, report=report, row_mean=row_mean,
+                                   overwrite_rows=True)
     return refined, report

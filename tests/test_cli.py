@@ -555,6 +555,46 @@ def test_rerun_leaves_no_stale_report(tmp_path, corpus_file, case):
     assert [entry["path"] for entry in outputs.values()] == [str(out)]
 
 
+@pytest.mark.parametrize("case", ["dead", "live", "not_permitted",
+                                  "directory", "symlink"])
+def test_publish_removes_temporary_files_of_dead_runs_only(
+        tmp_path, corpus_file, case):
+    dead = subprocess.Popen([sys.executable, "-c", "pass"])
+    dead.wait()
+    live = subprocess.Popen([sys.executable, "-c",
+                             "import time; time.sleep(60)"])
+    try:
+        pid = live.pid if case == "live" else dead.pid
+        # a killed run's temporary output and manifest, an unrelated
+        # output's, and a name no run writes
+        temps = [tmp_path / f".freq.tsv.{pid}.tmp",
+                 tmp_path / f".freq.tsv.manifest.json.{pid}.tmp"]
+        others = [tmp_path / f".other.tsv.{dead.pid}.tmp",
+                  tmp_path / f".freq.tsv.{dead.pid}x.tmp"]
+        for path in others:
+            path.write_text("partial")
+        for path in temps:
+            if case == "directory":
+                path.mkdir()
+            elif case == "symlink":
+                path.symlink_to(others[0])
+            else:
+                path.write_text("partial")
+        with pytest.MonkeyPatch.context() as patch:
+            if case == "not_permitted":
+                def kill(pid, sig):
+                    raise PermissionError(1, "Operation not permitted")
+                patch.setattr(os, "kill", kill)
+            assert main(["count", str(corpus_file), "--out",
+                         str(tmp_path / "freq.tsv")]) == 0
+    finally:
+        live.kill()
+        live.wait()
+    left = [path for path in temps if os.path.lexists(path)]
+    assert left == ([] if case == "dead" else temps)
+    assert all(path.read_text() == "partial" for path in others)
+
+
 def test_postproc_command(tmp_path, corpus_file):
     code, out = _run_embed(tmp_path, corpus_file, "emb.txt",
                            "--bits", "4", "--radius", "2", "--mode", "sum")

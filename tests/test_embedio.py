@@ -1,5 +1,6 @@
 import json
 import os
+import signal
 import struct
 import subprocess
 import sys
@@ -510,3 +511,87 @@ def test_split_writer_child_flushes_no_inherited_buffer(tmp_path):
     assert (result.returncode, result.stdout, result.stderr) == (0, "once", "")
     assert (tmp_path / "emb.txt").read_text() == (
         "3 3\na 1 0 0\nb 0 1 0\nc 0 0 1\n")
+
+
+def test_split_writer_ignores_the_fork_warning_of_python_3_12(
+        tmp_path, monkeypatch, forks):
+    # Python 3.12's os.fork warns in the parent of a process with threads;
+    # pytest's filters turn a DeprecationWarning from bitcipher into an error
+    message = (f"This process (pid={os.getpid()}) is multi-threaded, use of "
+               "fork() may lead to deadlocks in the child.")
+    with pytest.raises(DeprecationWarning):
+        warnings.warn_explicit(message, DeprecationWarning, "embedio.py", 1,
+                               module="bitcipher.embedio")
+    fork = os.fork
+
+    def warning_fork():
+        pid = fork()
+        if pid:
+            warnings.warn(message, DeprecationWarning, stacklevel=2)
+        return pid
+
+    rows, tokens = _odd_rows(101)
+    want = _one_process_text(rows, tokens, tmp_path / "one.txt")
+    monkeypatch.setattr(os, "fork", warning_fork)
+    monkeypatch.setattr(embedio, "_SPLIT_VALUES", 0)
+    path = tmp_path / "two.txt"
+    write_embeddings_text(rows, tokens, path)
+    assert forks == [os.getpid()]
+    assert path.read_bytes() == want
+
+
+def _gone(pid):
+    """No process has ``pid``, or only its zombie, which nothing may reap."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return True
+    return stat.rsplit(")", 1)[1].split()[0] == "Z"
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(),
+                    reason="reads a process's state from /proc")
+def test_split_writer_child_leaves_once_its_parent_is_killed(tmp_path):
+    # every block of one row takes BLOCK_S, so the child's 30 rows would
+    # take 15 s; the parent prints the child's pid and waits for it
+    block_s = 0.5
+    code = ("import os, sys, time, numpy as np\n"
+            "from bitcipher import embedio\n"
+            "embedio._SPLIT_VALUES = 0\n"
+            "embedio._CHILD_BLOCK_ROWS = 1\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "fork, write_rows = os.fork, embedio._write_rows\n"
+            "def telling_fork():\n"
+            "    pid = fork()\n"
+            "    if pid:\n"
+            "        print(pid, flush=True)\n"
+            "    return pid\n"
+            "def slow_rows(*args):\n"
+            f"    time.sleep({block_s})\n"
+            "    write_rows(*args)\n"
+            "os.fork, embedio._write_rows = telling_fork, slow_rows\n"
+            "embedio.write_embeddings_text(np.eye(60), "
+            "[f't{i}' for i in range(60)], sys.argv[1])\n")
+    src = str(Path(bitcipher.__file__).resolve().parent.parent)
+    parent = subprocess.Popen(
+        [sys.executable, "-c", code, str(tmp_path / "emb.txt")],
+        env=dict(os.environ, PYTHONPATH=src), stdout=subprocess.PIPE,
+        text=True)
+    child = None
+    try:
+        child = int(parent.stdout.readline())
+        time.sleep(block_s)  # mid-write
+        assert not _gone(child)
+        parent.kill()
+        parent.wait()
+        killed = time.perf_counter()
+        while not _gone(child) and time.perf_counter() - killed < 10:
+            time.sleep(0.02)
+        # one block, and slack for a loaded host
+        assert time.perf_counter() - killed < block_s + 2.5
+    finally:
+        parent.kill()
+        parent.wait()
+        parent.stdout.close()
+        if child is not None and not _gone(child):
+            os.kill(child, signal.SIGKILL)

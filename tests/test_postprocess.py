@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -171,3 +173,56 @@ def test_postprocessing_leaves_its_input_alone(tmp_path, step, layout):
     before = rows.copy()
     _STEPS[step](rows)
     assert rows.tobytes() == before.tobytes()
+
+
+def _reported(step, rows, **kwargs):
+    report = PostprocReport()
+    return step(rows, report=report, **kwargs), report
+
+
+_OVERWRITING = {
+    "whiten": lambda rows, overwrite: _reported(
+        whiten, rows, overwrite_rows=overwrite),
+    "center": lambda rows, overwrite: _reported(
+        center_and_normalize, rows, overwrite_rows=overwrite),
+    "center_row_mean": lambda rows, overwrite: _reported(
+        center_and_normalize, rows, row_mean=True, overwrite_rows=overwrite),
+    "pipeline": lambda rows, overwrite: pipeline(
+        rows, overwrite_rows=overwrite),
+}
+
+
+@pytest.mark.parametrize("layout", ["contiguous", "read_text_view", "float32"])
+@pytest.mark.parametrize("step", sorted(_OVERWRITING))
+def test_overwriting_the_input_gives_the_same_bits(tmp_path, step, layout):
+    rng = np.random.default_rng(11)
+    rows = rng.normal(size=(300, 12)) @ rng.normal(size=(12, 12))
+    rows[7] = rows.mean(axis=0)  # a zero row once centred
+    path = tmp_path / "emb.txt"
+    write_embeddings_text(rows, [f"t{i}" for i in range(300)], path)
+
+    def fresh():
+        if layout == "read_text_view":
+            return read_embeddings_text(path)[0]
+        return rows.astype(np.float32 if layout == "float32" else np.float64)
+
+    kept, kept_report = _OVERWRITING[step](fresh(), False)
+    spent_input = fresh()
+    spent, spent_report = _OVERWRITING[step](spent_input, True)
+    assert spent.tobytes() == kept.tobytes()
+    assert spent_report == kept_report
+    if layout == "float32":
+        # only a float64 buffer can be overwritten
+        assert spent_input.tobytes() == fresh().tobytes()
+
+
+def test_pipeline_overwriting_its_input_holds_one_more_matrix():
+    rows = np.random.default_rng(12).normal(size=(8192, 64))
+    tracemalloc.start()
+    try:
+        pipeline(rows, overwrite_rows=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the result, plus a finiteness mask and a 256-row block (1.13 measured)
+    assert peak <= 1.25 * rows.nbytes
