@@ -180,6 +180,7 @@ def cmd_postproc(args) -> int:
                  {"embeddings": args.out,
                   "report": sidecar(args.out, "report")}) as temp:
         rows, tokens = read_embeddings(args.embeddings)
+        rows = rows.astype("float64", copy=False)  # free float32 rows early
         with _named(args.embeddings):
             rows, report = pipeline(rows, epsilon=args.epsilon,
                                     row_mean=args.row_mean,
@@ -243,8 +244,8 @@ def build_parser() -> argparse.ArgumentParser:
     count.add_argument("corpus", help="plain-text or gzip corpus file")
     count.add_argument("--out", required=True, help="frequency table path")
     count.add_argument("--threads", type=_positive_int, default=1,
-                       help="accepted and ignored: counting runs in one "
-                            "process; kept for bitbench's zipf-cat chain, "
+                       help="accepted and ignored (README says when count "
+                            "forks); kept for bitbench's zipf-cat chain, "
                             "which passes --threads 2 (default: 1)")
     _add_tokenizer_flags(count)
     count.set_defaults(func=cmd_count)

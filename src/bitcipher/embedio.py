@@ -15,16 +15,14 @@ from __future__ import annotations
 import os
 import re
 import shutil
-import signal
 import struct
-import tempfile
-import warnings
 from collections import Counter
 from pathlib import Path
 from typing import Sequence
 
 from ._lazy import np
-from .corpus import OOV_TOKEN, EncodingError, Vocabulary, open_text
+from .corpus import (OOV_TOKEN, EncodingError, Vocabulary, _run_halves,
+                     _second_cpu, open_text)
 
 EMBED_MAGIC = b"BCEM"
 EMBED_VERSION = 1
@@ -104,11 +102,6 @@ def write_embeddings_text(rows: np.ndarray, tokens: Sequence[str],
             _write_halves(out, write, n, path)
 
 
-def _second_cpu() -> bool:
-    return (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-            and len(os.sched_getaffinity(0)) > 1)
-
-
 def _write_rows(out, line: str, tokens: Sequence[str],
                 rows: np.ndarray) -> None:
     for token, row in zip(tokens, rows):
@@ -116,57 +109,23 @@ def _write_rows(out, line: str, tokens: Sequence[str],
 
 
 def _write_halves(out, write, n: int, path: str | Path) -> None:
-    """Call ``write(file, start, stop)`` for rows ``[0, n // 2)`` into
-    ``out`` here while a forked child writes rows ``[n // 2, n)`` into an
-    unnamed temporary file beside ``path``, then append that file to
-    ``out``. The child leaves only through ``os._exit``, so it never runs
-    its caller's cleanup or flushes the buffers it inherited; the child is
-    always reaped, and killed first when this half fails. Should this
-    process die first, the child leaves with status 1 at its next block of
-    :data:`_CHILD_BLOCK_ROWS` rows. ``write`` must call no BLAS: only the
-    forking thread exists in the child, and a BLAS pool's lock may be held
-    by a thread that is gone."""
+    """The first half of the rows here, the rest by :func:`_run_halves`."""
     half = n // 2
-    parent = os.getpid()
-    with tempfile.TemporaryFile(dir=Path(path).parent) as part:
-        with warnings.catch_warnings():
-            # Python 3.12+ warns that a fork of a process with threads (a
-            # BLAS pool's) may deadlock the child. This child calls no BLAS,
-            # takes no lock a vanished thread could hold, and leaves
-            # through os._exit.
-            warnings.filterwarnings(
-                "ignore", r"This process \(pid=\d+\) is multi-threaded, "
-                r"use of fork\(\) may lead to deadlocks in the child",
-                DeprecationWarning)
-            pid = os.fork()
-        if not pid:
-            status = 1
-            try:
-                with open(part.fileno(), "w", encoding="utf-8", newline="\n",
-                          closefd=False) as child_out:
-                    for start in range(half, n, _CHILD_BLOCK_ROWS):
-                        if os.getppid() != parent:
-                            break
-                        write(child_out, start,
-                              min(n, start + _CHILD_BLOCK_ROWS))
-                    else:
-                        status = 0
-            finally:
-                os._exit(status)
-        try:
-            write(out, 0, half)
-        except BaseException:
-            os.kill(pid, signal.SIGKILL)
-            raise
-        finally:
-            _, status = os.waitpid(pid, 0)
-        if status:
-            raise ValueError(f"{path}: the process writing rows {half} to "
-                             f"{n - 1} failed (exit status "
-                             f"{os.waitstatus_to_exitcode(status)})")
+
+    def second(part, check) -> None:
+        with open(part.fileno(), "w", encoding="utf-8", newline="\n",
+                  closefd=False) as child_out:
+            for start in range(half, n, _CHILD_BLOCK_ROWS):
+                check()
+                write(child_out, start, min(n, start + _CHILD_BLOCK_ROWS))
+
+    def append(_, part) -> None:
         out.flush()
-        part.seek(0)
         shutil.copyfileobj(part, out.buffer)
+
+    _run_halves(lambda: write(out, 0, half), second, append,
+               f"{path}: the process writing rows {half} to {n - 1}",
+               Path(path).parent)
 
 
 def read_embeddings_text(path: str | Path) -> tuple[np.ndarray, list[str]]:

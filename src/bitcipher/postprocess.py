@@ -13,8 +13,8 @@ RANK_CUTOFF = 1e-8
 
 DEFAULT_EPSILON = 1e-5
 
-# Rows squared at once when row norms are taken. Each row's sum is the same
-# at any height; 256 rows keep the square a small fraction of the matrix.
+# Rows checked for finiteness, or squared for their norms, at once. Each row's
+# sum is the same at any height; 256 rows are a small fraction of the matrix.
 _NORM_BLOCK_ROWS = 256
 
 
@@ -103,8 +103,9 @@ def center_and_normalize(rows: np.ndarray,
     ``overwrite_rows``, a float64 ``rows`` is refined in place and returned.
     """
     rows = np.asarray(rows, dtype=np.float64)
-    if not np.isfinite(rows).all():
-        raise ValueError("normalization requires finite entries")
+    for start in range(0, len(rows), _NORM_BLOCK_ROWS):
+        if not np.isfinite(rows[start:start + _NORM_BLOCK_ROWS]).all():
+            raise ValueError("normalization requires finite entries")
     report = report if report is not None else PostprocReport()
     mean = rows.mean(axis=1, keepdims=True) if row_mean else rows.mean(axis=0)
     centered = np.subtract(rows, mean, out=rows if overwrite_rows else None)

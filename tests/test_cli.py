@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from collections import Counter, defaultdict
 from pathlib import Path
 
@@ -1313,3 +1314,20 @@ def test_chain_manifests_match_golden(tmp_path):
 
 def test_chain_manifests_match_golden_in_fresh_interpreters(tmp_path):
     _assert_chain_golden(tmp_path, _cli_subprocess)
+
+
+def test_postproc_frees_a_binary_input_before_whitening(tmp_path):
+    # float64 rows, the whitened matrix and the tokens: 2.23 measured,
+    # against 2.72 while the float32 rows were held through whitening
+    rows = np.random.default_rng(12).normal(size=(8192, 64))
+    source = tmp_path / "emb.bin"
+    write_embeddings_binary(rows, [f"t{i}" for i in range(8191)] + [OOV_TOKEN],
+                            source)
+    tracemalloc.start()
+    try:
+        assert main(["postproc", str(source), "--out", str(tmp_path / "out"),
+                     "--format", "binary"]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.4 * rows.nbytes

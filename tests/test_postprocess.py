@@ -226,3 +226,24 @@ def test_pipeline_overwriting_its_input_holds_one_more_matrix():
         tracemalloc.stop()
     # the result, plus a finiteness mask and a 256-row block (1.13 measured)
     assert peak <= 1.25 * rows.nbytes
+
+
+def test_pipeline_checks_finiteness_without_a_full_mask():
+    # the whitened matrix is checked over 256-row blocks: 1.05 measured,
+    # against 1.13 with a mask of the whole matrix
+    rows = np.random.default_rng(12).normal(size=(8192, 64))
+    tracemalloc.start()
+    try:
+        pipeline(rows, overwrite_rows=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * rows.nbytes
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_center_and_normalize_refuses_a_non_finite_row_past_a_block(bad):
+    rows = np.random.default_rng(13).normal(size=(600, 3))
+    rows[555, 1] = bad
+    with pytest.raises(ValueError, match="normalization requires finite"):
+        center_and_normalize(rows)
