@@ -105,6 +105,8 @@ def cmd_count(args) -> int:
 
 
 def cmd_embed(args) -> int:
+    if args.postproc:
+        check_epsilon(args.epsilon)  # before the co-occurrence pass
     inputs = {"corpus": args.corpus, "frequencies": args.freq}
     outputs = {"embeddings": args.out}
     if args.save_cipher:

@@ -60,24 +60,17 @@ class CoocCounts:
     counts: np.ndarray
 
 
-def _row_ids(interned: Interned,
-             vocab: Vocabulary) -> tuple[np.ndarray, np.ndarray]:
-    """Row id of each token, and the index of the document holding it; each
-    distinct token is looked up once."""
-    types, ids, lengths = interned
-    rows = np.fromiter(map(vocab.row_for, types), dtype=np.int64,
-                       count=len(types))
-    docs = np.repeat(np.arange(len(lengths), dtype=np.int64), lengths)
-    return rows[ids], docs
-
-
-def _offset_counts(ids: np.ndarray, docs: np.ndarray, n: int,
+def _offset_counts(ids: np.ndarray, lengths: np.ndarray, n: int,
                    config: ContextConfig) -> tuple[np.ndarray, np.ndarray]:
     """Each offset's sorted (key, count) arrays, concatenated."""
     radius, slots = config.radius, config.output_dim(1)
     parts = [(np.empty(0, dtype=np.int64),) * 2]
+    # tokens i and i + k share a document unless one starts at i + 1 .. i + k
+    starts = np.zeros(len(ids) + 1, dtype=bool)
+    starts[np.cumsum(lengths)] = True
+    same = np.ones(len(ids), dtype=bool)
     for k in range(1, min(radius, len(ids) - 1) + 1):
-        same = docs[:-k] == docs[k:]
+        same = same[:-1] & ~starts[k:len(ids)]
         # offset -k is slot radius-k, +k is slot radius+k-1 (sum: always 0)
         for slot, center, context in ((radius - k, ids[k:], ids[:-k]),
                                       (radius + k - 1, ids[:-k], ids[k:])):
@@ -100,7 +93,10 @@ def accumulate_cooccurrence(interned: Interned, vocab: Vocabulary,
     if 2 * config.radius * n * n >= 2 ** 63:
         raise ValueError(f"radius {config.radius} over {n} rows overflows "
                          f"the int64 co-occurrence key space")
-    keys, counts = _offset_counts(*_row_ids(interned, vocab), n, config)
+    types, ids, lengths = interned  # each distinct token is looked up once
+    rows = np.fromiter(map(vocab.row_for, types), dtype=np.int64,
+                       count=len(types))
+    keys, counts = _offset_counts(rows[ids], lengths, n, config)
     # Merge the sorted runs (timsort finds them) and add a cell's counts over
     # sum offsets, compacting in place so freed temporaries go back to the OS.
     order = np.argsort(keys, kind="stable")

@@ -209,9 +209,16 @@ def write_embeddings_binary(rows: np.ndarray, tokens: Sequence[str],
                             path: str | Path) -> None:
     n, dim = rows.shape
     _check_tokens(tokens, n, path)
+    with np.errstate(over="ignore"):  # an overflow is refused below
+        values = np.ascontiguousarray(rows, dtype="<f4")
+    # float64 sums of finite float32 values stay finite
+    bad = np.flatnonzero(~np.isfinite(values.sum(axis=1, dtype=np.float64)))
+    if len(bad):
+        raise ValueError(f"{path}: row {bad[0]} token {tokens[bad[0]]!r} "
+                         "holds a value that is not finite in float32")
     with open(path, "wb") as out:
         out.write(_BIN_HEADER.pack(EMBED_MAGIC, EMBED_VERSION, n, dim))
-        out.write(np.ascontiguousarray(rows, dtype="<f4"))
+        out.write(values)
         out.write(b"".join(struct.pack("<I", len(raw)) + raw
                            for raw in map(str.encode, tokens)))
 

@@ -43,6 +43,12 @@ def check_epsilon(epsilon: float) -> None:
         raise ValueError(f"epsilon must be finite and > 0, got {epsilon}")
 
 
+def _check_finite(rows: np.ndarray, step: str) -> None:
+    for start in range(0, len(rows), _NORM_BLOCK_ROWS):
+        if not np.isfinite(rows[start:start + _NORM_BLOCK_ROWS]).all():
+            raise ValueError(f"{step} requires finite entries")
+
+
 def whiten(rows: np.ndarray, epsilon: float = DEFAULT_EPSILON,
            report: PostprocReport | None = None,
            overwrite_rows: bool = False) -> np.ndarray:
@@ -62,8 +68,7 @@ def whiten(rows: np.ndarray, epsilon: float = DEFAULT_EPSILON,
     n, dim = rows.shape
     if n < dim + 1:
         raise ValueError(f"whitening needs at least {dim + 1} rows, got {n}")
-    if not np.isfinite(rows).all():
-        raise ValueError("whitening requires finite entries")
+    _check_finite(rows, "whitening")
     report = report if report is not None else PostprocReport()
     report.epsilon = epsilon
 
@@ -103,9 +108,7 @@ def center_and_normalize(rows: np.ndarray,
     ``overwrite_rows``, a float64 ``rows`` is refined in place and returned.
     """
     rows = np.asarray(rows, dtype=np.float64)
-    for start in range(0, len(rows), _NORM_BLOCK_ROWS):
-        if not np.isfinite(rows[start:start + _NORM_BLOCK_ROWS]).all():
-            raise ValueError("normalization requires finite entries")
+    _check_finite(rows, "normalization")
     report = report if report is not None else PostprocReport()
     mean = rows.mean(axis=1, keepdims=True) if row_mean else rows.mean(axis=0)
     centered = np.subtract(rows, mean, out=rows if overwrite_rows else None)

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import warnings
 from collections import Counter, defaultdict
 from pathlib import Path
 
@@ -684,6 +685,24 @@ def test_writer_token_error_names_output_path(tmp_path, corpus_file, capsys,
     assert list(out_dir.iterdir()) == []
 
 
+def test_export_binary_refuses_a_value_beyond_float32(tmp_path, capsys):
+    source = tmp_path / "emb.txt"
+    source.write_text(f"3 2\na 1 2\nb -1e39 0\n{OOV_TOKEN} 0 0\n")
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    out = out_dir / "emb.bin"
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["export", str(source), "--out", str(out),
+                     "--format", "binary"]) == 2
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert capsys.readouterr().err.startswith(
+        f"error: {out}: row 1 token 'b' holds a value that is not finite "
+        "in float32")
+    assert list(out_dir.iterdir()) == []
+
+
 def test_corpus_token_spelled_like_the_oov_label_embeds(tmp_path, capsys):
     # --no-split-punct keeps "<oov>" whole; it is reserved for the OOV row
     corpus = tmp_path / "corpus.txt"
@@ -1026,8 +1045,12 @@ def test_epsilon_must_be_finite_and_positive(tmp_path, corpus_file, capsys,
                                              epsilon):
     flags = ("--bits", "4", "--radius", "2", "--mode", "sum")
     capsys.readouterr()
-    code, emb = _run_embed(tmp_path, corpus_file, "post.txt", *flags,
-                           "--postproc", "--epsilon", epsilon)
+    with pytest.MonkeyPatch.context() as patch:
+        # refused before the corpus is read and counted
+        patch.setattr(cli, "intern_documents", _not_read)
+        patch.setattr(cli, "embed_corpus", _not_read)
+        code, emb = _run_embed(tmp_path, corpus_file, "post.txt", *flags,
+                               "--postproc", "--epsilon", epsilon)
     assert code == 2
     expected = f"epsilon must be finite and > 0, got {float(epsilon)}"
     assert expected in capsys.readouterr().err

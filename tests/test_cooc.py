@@ -466,25 +466,17 @@ def test_aggregate_matches_add_at_reference(block, case):
         assert aggregate(counts, nu, config).tobytes() == expected
 
 
-def _row_ids_per_token(documents, vocab):
-    """Reference ``_row_ids``: one id lookup and one document index
-    appended per token."""
-    rows, docs = [], []
-    for doc, tokens in enumerate(documents):
-        rows.extend([vocab.index.get(t, vocab.oov_index) for t in tokens])
-        docs.extend([doc] * len(tokens))
-    return (np.array(rows, dtype=np.int64), np.array(docs, dtype=np.int64))
-
-
+@pytest.mark.parametrize("mode", ["sum", "cat"])
+@pytest.mark.parametrize("radius", [1, 2, 3, 4])
 @given(docs=st.lists(st.lists(st.sampled_from("abcdxy"), max_size=6),
                      max_size=8))
 @example(docs=[])
 @example(docs=[[]])
 @example(docs=[[], ["a"], [], ["b", "x"], []])
-def test_row_ids_match_per_token_reference(docs):
+def test_windows_match_brute_force_around_empty_documents(mode, radius, docs):
     _, vocab, _, _ = _setup(b"a b c a b a d\n", 3)  # x and y are OOV
-    rows, doc_ids = cooc._row_ids(intern_documents(iter(docs)), vocab)
-    want_rows, want_docs = _row_ids_per_token(docs, vocab)
-    assert rows.dtype == doc_ids.dtype == np.int64
-    assert rows.tobytes() == want_rows.tobytes()
-    assert doc_ids.tobytes() == want_docs.tobytes()
+    config = ContextConfig(radius=radius, mode=mode)
+    counts = accumulate_cooccurrence(intern_documents(iter(docs)), vocab,
+                                     config)
+    assert counts.keys.dtype == counts.counts.dtype == np.int64
+    assert _cells(counts) == _brute_force_counts(docs, vocab, config)

@@ -195,6 +195,23 @@ def test_text_writer_rejects_unescapable_token(tmp_path, token):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1e39])
+def test_binary_writer_refuses_a_value_float32_cannot_hold(tmp_path, bad):
+    tokens = ["a", "b", OOV_TOKEN]
+    # float32's largest value fits, though a float32 sum of a row would not
+    rows = np.full((3, 2), np.finfo(np.float32).max, dtype=np.float64)
+    write_embeddings_binary(rows, tokens, tmp_path / "max.bin")
+    rows[2, 1] = bad
+    path = tmp_path / "x.bin"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as info:
+            write_embeddings_binary(rows, tokens, path)
+    assert str(info.value) == (f"{path}: row 2 token {OOV_TOKEN!r} holds a "
+                               "value that is not finite in float32")
+    assert not path.exists()
+
+
 def test_sniffing_reader(tmp_path):
     rows = np.ones((2, 3), dtype=np.float32)
     tokens = ["a", OOV_TOKEN]

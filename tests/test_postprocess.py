@@ -245,5 +245,7 @@ def test_pipeline_checks_finiteness_without_a_full_mask():
 def test_center_and_normalize_refuses_a_non_finite_row_past_a_block(bad):
     rows = np.random.default_rng(13).normal(size=(600, 3))
     rows[555, 1] = bad
-    with pytest.raises(ValueError, match="normalization requires finite"):
-        center_and_normalize(rows)
+    for step, message in ((center_and_normalize, "normalization"),
+                          (whiten, "whitening"), (pipeline, "whitening")):
+        with pytest.raises(ValueError, match=f"{message} requires finite"):
+            step(rows)
