@@ -23,6 +23,7 @@ from typing import Sequence
 from ._lazy import np
 from .corpus import (OOV_TOKEN, EncodingError, Vocabulary, _run_halves,
                      _second_cpu, open_text)
+from .postprocess import _NORM_BLOCK_ROWS
 
 EMBED_MAGIC = b"BCEM"
 EMBED_VERSION = 1
@@ -283,9 +284,10 @@ def read_embeddings(path: str | Path) -> tuple[np.ndarray, list[str]]:
                    if first.setdefault(t, i) != i)
         raise ValueError(f"{path}: row {row} token {tokens[row]!r} repeats "
                          f"row {first[tokens[row]]}")
-    finite = np.isfinite(rows).all(axis=1)
-    if not finite.all():
-        row = int(np.argmin(finite))
-        raise ValueError(f"{path}: row {row} ({tokens[row]!r}) holds a "
-                         "non-finite value")
+    for start in range(0, len(rows), _NORM_BLOCK_ROWS):
+        finite = np.isfinite(rows[start:start + _NORM_BLOCK_ROWS]).all(axis=1)
+        if not finite.all():
+            row = start + int(np.argmin(finite))
+            raise ValueError(f"{path}: row {row} ({tokens[row]!r}) holds a "
+                             "non-finite value")
     return rows, tokens

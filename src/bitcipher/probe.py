@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 from ._lazy import np
 from .corpus import Vocabulary, open_text
 
+_PREDICT_BLOCK_ROWS = 1024  # tokens predicted at once (see _predict)
+
 
 @dataclass
 class LabeledTokenDataset:
@@ -232,15 +234,25 @@ def label_ids(data: LabeledTokenDataset,
                          "never seen in training") from None
 
 
-def _examples(rows: np.ndarray, vocab: Vocabulary, data: LabeledTokenDataset,
+def _examples(vocab: Vocabulary, data: LabeledTokenDataset,
               label_set: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Features and label ids of the tokens of ``data`` (see ``label_ids``);
-    a token falls back to its lowercase form, then to the OOV row."""
+    """Row indices and label ids of the tokens of ``data`` (see ``label_ids``);
+    a token with no row falls back to its lowercase form, then the OOV row."""
     y = label_ids(data, label_set)
-    index, oov = vocab.index, vocab.oov_index
-    idx = [index.get(t, index.get(t.lower(), oov))
-           for seq in data.sequences for t, _ in seq]
-    return np.asarray(rows[idx], dtype=np.float64), y
+    get, oov = vocab.index.get, vocab.oov_index
+    return np.fromiter((r if (r := get(t)) is not None else get(t.lower(), oov)
+                        for seq in data.sequences for t, _ in seq),
+                       np.int64, len(y)), y
+
+
+def _predict(model: ProbeModel, rows: np.ndarray,
+             idx: np.ndarray) -> np.ndarray:
+    """``model.predict`` of the rows ``idx`` names, over blocks of
+    ``_PREDICT_BLOCK_ROWS`` tokens, so no hidden layer spans the split."""
+    blocks = (idx[i:i + _PREDICT_BLOCK_ROWS]
+              for i in range(0, len(idx), _PREDICT_BLOCK_ROWS))
+    return np.concatenate([model.predict(np.asarray(rows[block], np.float64))
+                           for block in blocks])
 
 
 def train_probe(rows: np.ndarray, vocab: Vocabulary,
@@ -252,23 +264,24 @@ def train_probe(rows: np.ndarray, vocab: Vocabulary,
     consecutive epochs. An empty split raises ``ValueError``. With the same
     seed and data the run is reproducible at equal thread counts.
     """
-    x_train, y_train = _examples(rows, vocab, train, train.label_set)
-    x_dev, y_dev = _examples(rows, vocab, dev, train.label_set)
+    idx_train, y_train = _examples(vocab, train, train.label_set)
+    idx_dev, y_dev = _examples(vocab, dev, train.label_set)
 
     rng = np.random.default_rng(hp.seed)
-    model = ProbeModel(x_train.shape[1], train.label_set, hp, rng)
+    model = ProbeModel(rows.shape[1], train.label_set, hp, rng)
     velocity = {k: np.zeros_like(v) for k, v in model.params.items()}
 
     best_acc = -1.0
     epochs_since_best = 0
     history: list[float] = []
-    n = x_train.shape[0]
+    n = len(idx_train)
     for _epoch in range(hp.epochs):
         order = rng.permutation(n)
         epoch_loss = 0.0
         for start in range(0, n, hp.batch_size):
             batch = order[start:start + hp.batch_size]
-            loss, grads = model.loss_and_grads(x_train[batch], y_train[batch],
+            x = np.asarray(rows[idx_train[batch]], dtype=np.float64)
+            loss, grads = model.loss_and_grads(x, y_train[batch],
                                                dropout_rng=rng)
             epoch_loss += loss * len(batch)
             for name, grad in grads.items():
@@ -279,7 +292,7 @@ def train_probe(rows: np.ndarray, vocab: Vocabulary,
                 v -= grad
                 model.params[name] += v
         history.append(epoch_loss / n)
-        acc = float((model.predict(x_dev) == y_dev).mean())
+        acc = float((_predict(model, rows, idx_dev) == y_dev).mean())
         if acc > best_acc:
             best_acc = acc
             best_state = model.snapshot()
@@ -314,8 +327,8 @@ def evaluate_probe(model: ProbeModel, rows: np.ndarray,
                    vocab: Vocabulary,
                    test: LabeledTokenDataset) -> ProbeMetrics:
     """Token-level accuracy and macro-F1 (percent), dropout disabled."""
-    x, y = _examples(rows, vocab, test, model.label_set)
-    pred = model.predict(x)
+    idx, y = _examples(vocab, test, model.label_set)
+    pred = _predict(model, rows, idx)
     accuracy = 100.0 * float((pred == y).mean())
     scores = _per_label_scores(y, pred, len(model.label_set))
     macro_f1 = 100.0 * float(scores[:, 2].mean())

@@ -1,3 +1,7 @@
+import contextlib
+import tracemalloc
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -19,3 +23,22 @@ def write_corpus(tmp_path):
         return path
 
     return _write
+
+
+@pytest.fixture
+def traced_peak():
+    """A context manager that traces allocations with ``tracemalloc`` while
+    its block runs; the object it yields holds the peak, in bytes, as
+    ``bytes`` once the block has finished."""
+
+    @contextlib.contextmanager
+    def _trace():
+        peak = SimpleNamespace(bytes=None)
+        tracemalloc.start()
+        try:
+            yield peak
+            peak.bytes = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    return _trace

@@ -1,6 +1,5 @@
 import hashlib
 import struct
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -153,18 +152,14 @@ def test_million_row_cipher_digests():
     ]
 
 
-def test_wide_cipher_allocates_rows_not_bits_squared():
+def test_wide_cipher_allocates_rows_not_bits_squared(traced_peak):
     n, bits = 3, 100_000
-    tracemalloc.start()
-    try:
+    with traced_peak() as peak:
         pair = build_cipher(n, bits)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
     assert np.array_equal(pair.bit_rows, np.eye(n, bits, dtype=np.uint8))
     # the bit rows (n*b bytes) and the float64 plain rows (8*n*b bytes);
     # b*b bytes would be 10 GB
-    assert peak < 16 * n * bits
+    assert peak.bytes < 16 * n * bits
 
 
 def test_capacity_error_names_both_values():

@@ -6,7 +6,6 @@ import subprocess
 import sys
 import tempfile
 import time
-import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -81,23 +80,19 @@ BINARY_ERRORS = {
 
 
 @pytest.mark.parametrize("case", sorted(BINARY_ERRORS))
-def test_binary_reader_error_messages(tmp_path, case):
+def test_binary_reader_error_messages(tmp_path, traced_peak, case):
     damage, message = BINARY_ERRORS[case]
     path = tmp_path / "emb.bin"
     write_embeddings_binary(np.ones((3, 2)), ["ab", "c", OOV_TOKEN], path)
     data = path.read_bytes()
     assert len(data) == 60
     path.write_bytes(damage(data))
-    tracemalloc.start()
-    try:
+    with traced_peak() as peak:
         with pytest.raises(ValueError) as err:
             read_embeddings_binary(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
     assert str(err.value) == f"{path}: {message}"
     # refused before anything the size of the declared float block is made
-    assert peak < 1 << 20
+    assert peak.bytes < 1 << 20
 
 
 def test_escaping_round_trips_odd_tokens(tmp_path):
@@ -223,6 +218,28 @@ def test_sniffing_reader(tmp_path):
     b_rows, b_tokens = read_embeddings(bin_path)
     assert t_tokens == b_tokens == tokens
     assert np.allclose(t_rows, b_rows)
+
+
+@pytest.mark.parametrize("binary", [False, True])
+def test_reader_names_the_first_non_finite_row_past_a_block(tmp_path,
+                                                            binary):
+    rows = np.ones((600, 3))
+    tokens = [f"t{i}" for i in range(599)] + [OOV_TOKEN]
+    path = tmp_path / "emb"
+    if binary:
+        write_embeddings_binary(rows, tokens, path)
+        data = bytearray(path.read_bytes())
+        for row, col, value in ((300, 1, np.nan), (500, 0, np.inf)):
+            at = 16 + 4 * (3 * row + col)  # after the header, float32 values
+            data[at:at + 4] = np.array([value], dtype="<f4").tobytes()
+        path.write_bytes(bytes(data))
+    else:
+        rows[300, 1], rows[500, 0] = np.nan, np.inf
+        write_embeddings_text(rows, tokens, path)
+    with pytest.raises(ValueError) as err:
+        read_embeddings(path)
+    assert str(err.value) == (f"{path}: row 300 ('t300') holds a "
+                              "non-finite value")
 
 
 def test_row_tokens_and_vocabulary_round_trip():

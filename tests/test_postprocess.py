@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -216,29 +214,21 @@ def test_overwriting_the_input_gives_the_same_bits(tmp_path, step, layout):
         assert spent_input.tobytes() == fresh().tobytes()
 
 
-def test_pipeline_overwriting_its_input_holds_one_more_matrix():
+def test_pipeline_overwriting_its_input_holds_one_more_matrix(traced_peak):
     rows = np.random.default_rng(12).normal(size=(8192, 64))
-    tracemalloc.start()
-    try:
+    with traced_peak() as peak:
         pipeline(rows, overwrite_rows=True)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
     # the result, plus a finiteness mask and a 256-row block (1.13 measured)
-    assert peak <= 1.25 * rows.nbytes
+    assert peak.bytes <= 1.25 * rows.nbytes
 
 
-def test_pipeline_checks_finiteness_without_a_full_mask():
+def test_pipeline_checks_finiteness_without_a_full_mask(traced_peak):
     # the whitened matrix is checked over 256-row blocks: 1.05 measured,
     # against 1.13 with a mask of the whole matrix
     rows = np.random.default_rng(12).normal(size=(8192, 64))
-    tracemalloc.start()
-    try:
+    with traced_peak() as peak:
         pipeline(rows, overwrite_rows=True)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.1 * rows.nbytes
+    assert peak.bytes <= 1.1 * rows.nbytes
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from bitcipher import probe
 from bitcipher.corpus import Vocabulary
 from bitcipher.probe import (LabeledTokenDataset, ProbeHyperparams,
                              ProbeModel, evaluate_probe, load_conll,
@@ -224,6 +225,57 @@ def test_oov_and_case_fallback():
     model = train_probe(matrix, vocab, train, dev, hp)
     metrics = evaluate_probe(model, matrix, vocab, train)
     assert 0.0 <= metrics.accuracy <= 100.0
+
+
+def test_lookup_lowercases_only_a_token_without_a_row():
+    class Token(str):
+        lowered = 0
+
+        def lower(self):
+            Token.lowered += 1
+            return str.lower(self)
+
+    vocab = _vocab(["cat", "Dog", "dog"])
+    tokens = ["cat", "Dog", "CAT", "DOG", "bird", "dog"]
+    data = _dataset_from_pairs([(Token(t), "X") for t in tokens], ("X",))
+    idx, y = probe._examples(vocab, data, ("X",))
+    assert idx.tolist() == [0, 1, 0, 2, vocab.oov_index, 2]
+    assert y.tolist() == [0] * 6
+    assert Token.lowered == 3  # CAT, DOG and bird
+
+
+@pytest.mark.parametrize("block", [1, 7, 10_000])
+def test_metrics_do_not_depend_on_the_prediction_block(monkeypatch, block):
+    matrix, vocab, train, dev, test = _separable_task()
+    hp = ProbeHyperparams(hidden=16, epochs=12, patience=3, seed=4)
+
+    def run():
+        model = train_probe(matrix, vocab, train, dev, hp)
+        return model, evaluate_probe(model, matrix, vocab, test).to_dict()
+
+    expected_model, expected = run()
+    monkeypatch.setattr(probe, "_PREDICT_BLOCK_ROWS", block)
+    model, metrics = run()
+    assert metrics == expected  # train_loss included
+    for name, param in model.params.items():  # the dev-selected checkpoint
+        assert param.tobytes() == expected_model.params[name].tobytes(), name
+
+
+def test_probe_memory_does_not_grow_with_tokens_times_hidden(traced_peak):
+    tokens = [f"w{i}" for i in range(50)]
+    vocab = _vocab(tokens)
+    matrix = _embedding(50, 16, seed=2).astype(np.float32)
+    rng = np.random.default_rng(2)
+    data = _dataset_from_pairs(
+        [(tokens[i], "AB"[i % 2]) for i in rng.integers(0, 50, size=20_000)],
+        ("A", "B"))
+    hp = ProbeHyperparams(hidden=256, epochs=1)
+    with traced_peak() as peak:
+        model = train_probe(matrix, vocab, data, data, hp)
+        evaluate_probe(model, matrix, vocab, data)
+    # one float64 matrix of tokens x hidden is 41 MB; a block of 1,024
+    # tokens is 2 MB
+    assert peak.bytes < 20_000 * hp.hidden * 8 / 4
 
 
 @pytest.mark.parametrize("slope", [0.0, 1.0, -0.01, float("nan")])
