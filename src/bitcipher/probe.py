@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from ._lazy import np
 from .corpus import Vocabulary, open_text
 
-_PREDICT_BLOCK_ROWS = 1024  # tokens predicted at once (see _predict)
+_PREDICT_BLOCK_ROWS = 1024  # distinct rows predicted at once (see _predict)
 
 
 @dataclass
@@ -134,16 +134,18 @@ class ProbeModel:
             "b2": np.zeros(len(label_set)),
         }
 
-    def _hidden(self, x: np.ndarray) -> np.ndarray:
-        """LeakyReLU(x @ w1 + b1), computed in one buffer.
+    def _hidden(self, x: np.ndarray, out: np.ndarray | None = None,
+                scratch: np.ndarray | None = None) -> np.ndarray:
+        """LeakyReLU(x @ w1 + b1) in ``out``, ``slope * z`` in ``scratch``.
 
         For 0 < slope < 1, ``max(z, slope*z)`` equals
         ``where(z > 0, z, slope*z)`` bit for bit, without the per-element
         branch that mispredicts on random signs.
         """
-        h = x @ self.params["w1"]
+        h = np.matmul(x, self.params["w1"], out=out)
         h += self.params["b1"]
-        return np.maximum(h, self.hp.leaky_slope * h, out=h)
+        return np.maximum(h, np.multiply(self.hp.leaky_slope, h, out=scratch),
+                          out=h)
 
     def log_proba(self, x: np.ndarray) -> np.ndarray:
         """Forward pass with dropout disabled (deterministic)."""
@@ -153,40 +155,52 @@ class ProbeModel:
     def predict(self, x: np.ndarray) -> np.ndarray:
         return self.log_proba(x).argmax(axis=1)
 
+    def _workspace(self, batch: int) -> dict:
+        """The arrays a training step of up to ``batch`` examples writes."""
+        shape = (batch, self.hp.hidden)
+        ws = {k: np.empty(shape) for k in ("a1", "scratch", "draw", "mask")}
+        ws.update(sign=np.empty(shape, bool), keep=np.empty(shape, bool),
+                  grads={k: np.empty_like(v) for k, v in self.params.items()})
+        return ws
+
     def loss_and_grads(self, x: np.ndarray, y: np.ndarray,
-                       dropout_rng: np.random.Generator | None = None):
+                       dropout_rng: np.random.Generator | None = None,
+                       workspace: dict | None = None):
         """Mean negative log-likelihood and its analytic gradients.
 
         Passing ``dropout_rng`` enables inverted dropout on the hidden layer;
         without it the pass is deterministic (used at evaluation time and by
-        the finite-difference gradient check).
+        the finite-difference gradient check). The step writes into
+        ``workspace`` (see ``_workspace``), a fresh one by default.
         """
-        a1 = self._hidden(x)
-        pos = a1 > 0  # the pre-activation's sign, read before dropout
+        batch = x.shape[0]
+        ws = self._workspace(batch) if workspace is None else workspace
+        a1 = self._hidden(x, ws["a1"][:batch], ws["scratch"][:batch])
+        pos = np.greater(a1, 0, out=ws["sign"][:batch])  # before dropout
         keep = 1.0 - self.hp.dropout
+        mask = None
         if dropout_rng is not None and self.hp.dropout > 0.0:
-            mask = (dropout_rng.random(a1.shape) < keep) / keep
+            draw = dropout_rng.random(out=ws["draw"][:batch])
+            mask = np.divide(np.less(draw, keep, out=ws["keep"][:batch]), keep,
+                             out=ws["mask"][:batch])
             a1 *= mask
-        else:
-            mask = None
         w2 = self.params["w2"]
         logp = _log_softmax(a1 @ w2 + self.params["b2"])
-        batch = x.shape[0]
         loss = -logp[np.arange(batch), y].mean()
 
         dz2 = np.exp(logp)
         dz2[np.arange(batch), y] -= 1.0
         dz2 /= batch
-        grads = {
-            "w2": a1.T @ dz2,
-            "b2": dz2.sum(axis=0),
-        }
-        da1 = dz2 @ w2.T
+        grads = ws["grads"]
+        np.matmul(a1.T, dz2, out=grads["w2"])
+        np.sum(dz2, axis=0, out=grads["b2"])
+        da1 = np.matmul(dz2, w2.T, out=ws["scratch"][:batch])
         if mask is not None:
             da1 *= mask
-        da1 *= np.maximum(pos, self.hp.leaky_slope)  # LeakyReLU derivative
-        grads["w1"] = x.T @ da1
-        grads["b1"] = da1.sum(axis=0)
+        # LeakyReLU derivative, in a1's buffer (a1 is not read again)
+        da1 *= np.maximum(pos, self.hp.leaky_slope, out=a1)
+        np.matmul(x.T, da1, out=grads["w1"])
+        np.sum(da1, axis=0, out=grads["b1"])
         return loss, grads
 
     def snapshot(self) -> dict[str, np.ndarray]:
@@ -247,12 +261,14 @@ def _examples(vocab: Vocabulary, data: LabeledTokenDataset,
 
 def _predict(model: ProbeModel, rows: np.ndarray,
              idx: np.ndarray) -> np.ndarray:
-    """``model.predict`` of the rows ``idx`` names, over blocks of
-    ``_PREDICT_BLOCK_ROWS`` tokens, so no hidden layer spans the split."""
-    blocks = (idx[i:i + _PREDICT_BLOCK_ROWS]
-              for i in range(0, len(idx), _PREDICT_BLOCK_ROWS))
+    """``model.predict`` of the rows ``idx`` names. With dropout off a
+    prediction depends on its row alone, so each distinct row is predicted
+    once, over blocks of ``_PREDICT_BLOCK_ROWS`` rows."""
+    distinct, inverse = np.unique(idx, return_inverse=True)
+    blocks = (distinct[i:i + _PREDICT_BLOCK_ROWS]
+              for i in range(0, len(distinct), _PREDICT_BLOCK_ROWS))
     return np.concatenate([model.predict(np.asarray(rows[block], np.float64))
-                           for block in blocks])
+                           for block in blocks])[inverse]
 
 
 def train_probe(rows: np.ndarray, vocab: Vocabulary,
@@ -275,14 +291,17 @@ def train_probe(rows: np.ndarray, vocab: Vocabulary,
     epochs_since_best = 0
     history: list[float] = []
     n = len(idx_train)
+    features = np.empty((min(hp.batch_size, n), rows.shape[1]))
+    workspace = model._workspace(len(features))
     for _epoch in range(hp.epochs):
         order = rng.permutation(n)
         epoch_loss = 0.0
         for start in range(0, n, hp.batch_size):
             batch = order[start:start + hp.batch_size]
-            x = np.asarray(rows[idx_train[batch]], dtype=np.float64)
-            loss, grads = model.loss_and_grads(x, y_train[batch],
-                                               dropout_rng=rng)
+            x = features[:len(batch)]
+            x[...] = rows[idx_train[batch]]
+            loss, grads = model.loss_and_grads(x, y_train[batch], rng,
+                                               workspace)
             epoch_loss += loss * len(batch)
             for name, grad in grads.items():
                 # v = momentum * v - learning_rate * grad, in place

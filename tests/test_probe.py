@@ -114,6 +114,22 @@ def test_gradients_match_finite_differences():
         assert rel.max() < 1e-4, f"{name}: max rel err {rel.max():.3e}"
 
 
+def test_loss_and_grads_returns_arrays_the_caller_owns():
+    # The finite-difference checks keep `grads` across later calls.
+    rng = np.random.default_rng(6)
+    model = ProbeModel(5, ("a", "b", "c"), ProbeHyperparams(hidden=7), rng)
+    x, y = rng.normal(size=(10, 5)), rng.integers(0, 3, size=10)
+    _, first = model.loss_and_grads(x, y)
+    expected = {name: grad.copy() for name, grad in first.items()}
+    _, second = model.loss_and_grads(x[:4], y[:4], np.random.default_rng(1))
+    arrays = [*first.values(), *second.values(), *model.params.values()]
+    for i, one in enumerate(arrays):
+        for other in arrays[i + 1:]:
+            assert not np.shares_memory(one, other)
+    for name, grad in first.items():
+        assert grad.tobytes() == expected[name].tobytes(), name
+
+
 def _separable_task(n_types=120, dim=10, seed=3):
     """Label is the sign of the first embedding coordinate."""
     rng = np.random.default_rng(seed)
@@ -261,6 +277,36 @@ def test_metrics_do_not_depend_on_the_prediction_block(monkeypatch, block):
         assert param.tobytes() == expected_model.params[name].tobytes(), name
 
 
+def test_predict_runs_the_model_once_per_distinct_row(monkeypatch):
+    tokens = [f"w{i}" for i in range(50)]
+    vocab = _vocab(tokens)
+    matrix = _embedding(50, 6, seed=8)
+    rng = np.random.default_rng(8)
+    words = tokens + ["W7", "unseen"]  # a lowercase fallback, the OOV row
+    data = _dataset_from_pairs(
+        [(words[i], "A") for i in rng.integers(0, len(words), size=5_000)],
+        ("A",))
+    idx, _ = probe._examples(vocab, data, ("A",))
+    model = ProbeModel(6, ("A", "B", "C"), ProbeHyperparams(hidden=8), rng)
+    row_of = {row.tobytes(): i for i, row in enumerate(matrix)}
+    predict, fed = ProbeModel.predict, []
+
+    def recording_predict(self, x):
+        fed.extend(row_of[row.tobytes()] for row in x)
+        return predict(self, x)
+
+    monkeypatch.setattr(ProbeModel, "predict", recording_predict)
+    distinct = sorted(set(idx.tolist()))
+    assert len(distinct) == 51 and vocab.oov_index in distinct
+    for block in (1024, 7, 1):
+        monkeypatch.setattr(probe, "_PREDICT_BLOCK_ROWS", block)
+        fed.clear()
+        labels = probe._predict(model, matrix, idx)
+        assert sorted(fed) == distinct, block
+    per_token = [predict(model, matrix[[i]])[0] for i in idx]
+    assert labels.tolist() == per_token
+
+
 def test_probe_memory_does_not_grow_with_tokens_times_hidden(traced_peak):
     tokens = [f"w{i}" for i in range(50)]
     vocab = _vocab(tokens)
@@ -315,6 +361,38 @@ def test_branch_free_leaky_relu_is_bit_identical(values, slope):
     assert np.array_equal(active > 0, z > 0)
     assert (np.maximum(active > 0, slope).view(np.uint64).tolist()
             == np.where(z > 0, 1.0, slope).view(np.uint64).tolist())
+
+
+def test_dropout_draws_into_a_buffer_follow_the_fresh_stream():
+    # Generator.random(out=) needs numpy 1.17
+    hidden = 32
+    buffer = np.empty((64, hidden))
+    into, fresh = np.random.default_rng(9), np.random.default_rng(9)
+    for rows in (64, 64, 44, 1, 64, 3):
+        drawn = into.random(out=buffer[:rows])
+        assert np.shares_memory(drawn, buffer)
+        assert drawn.tobytes() == fresh.random((rows, hidden)).tobytes()
+
+
+@pytest.mark.parametrize("rows", [1, 44, 128])
+@pytest.mark.parametrize("dim", [8, 25, 200])
+def test_matmul_into_a_view_equals_the_fresh_product(dim, rows):
+    # matmul(out=) needs numpy 1.16; the training step's four products, on
+    # row views of batch-sized buffers as train_probe passes them
+    hidden, labels, size = 256, 9, 128
+    rng = np.random.default_rng(dim + rows)
+    x, a1, da1 = (rng.normal(size=(size, width))[:rows]
+                  for width in (dim, hidden, hidden))
+    w1, w2 = rng.normal(size=(dim, hidden)), rng.normal(size=(hidden, labels))
+    dz2 = rng.normal(size=(rows, labels))
+    into_rows = np.empty((size, hidden))[:rows]
+    for left, right, out in [(x, w1, into_rows),
+                             (a1.T, dz2, np.empty((hidden, labels))),
+                             (dz2, w2.T, into_rows),
+                             (x.T, da1, np.empty((dim, hidden)))]:
+        # np.copy keeps the layout, so a transposed view stays transposed
+        expected = (np.copy(left) @ np.copy(right)).tobytes()
+        assert np.matmul(left, right, out=out).tobytes() == expected
 
 
 def _reference_log_softmax(z):
@@ -390,9 +468,13 @@ def _reference_train(x, y, x_dev, y_dev, n_labels, hp):
     return best, history
 
 
-@pytest.mark.parametrize("dim", [8, 200])
-@pytest.mark.parametrize("dropout", [0.0, 0.3, 0.5])
-def test_training_matches_reference_bit_for_bit(dropout, dim):
+# Cases at batch size 64 are named by dropout and dim alone.
+@pytest.mark.parametrize("dropout, dim, batch_size", [
+    pytest.param(dropout, dim, batch_size, id=f"{dropout}-{dim}"
+                 + ("" if batch_size == 64 else f"-{batch_size}"))
+    for batch_size in (64, 1, 10**9)  # 10**9: one batch, sized by the split
+    for dim in (8, 200) for dropout in (0.0, 0.3, 0.5)])
+def test_training_matches_reference_bit_for_bit(dropout, dim, batch_size):
     rng = np.random.default_rng(11)
     n_types, labels = 60, ("A", "B", "C", "D")
     tokens = [f"w{i}" for i in range(n_types)]
@@ -410,7 +492,7 @@ def test_training_matches_reference_bit_for_bit(dropout, dim):
 
     train, x, y = split(300, "train")  # 300 = 4 * 64 + 44: a ragged batch
     dev, x_dev, y_dev = split(80, "dev")
-    hp = ProbeHyperparams(hidden=32, dropout=dropout, batch_size=64,
+    hp = ProbeHyperparams(hidden=32, dropout=dropout, batch_size=batch_size,
                           epochs=6, patience=2, seed=5)
     model = train_probe(matrix, vocab, train, dev, hp)
     expected, history = _reference_train(x, y, x_dev, y_dev, len(labels), hp)
