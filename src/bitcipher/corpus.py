@@ -13,7 +13,6 @@ import warnings
 import zlib
 from array import array
 from collections import Counter, defaultdict
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import count
 from pathlib import Path
@@ -44,23 +43,6 @@ class EncodingError(ValueError):
         self.offset = offset
         where = f"{source}: " if isinstance(source, (str, Path)) else ""
         super().__init__(f"{where}invalid UTF-8 at byte offset {offset}")
-
-
-@contextmanager
-def open_text(path: str | Path) -> Iterator[io.TextIOWrapper]:
-    """Open ``path`` for reading as UTF-8 text. Invalid UTF-8 raises
-    :class:`EncodingError` with the path and the absolute byte offset, found
-    by decoding the whole file once more: the decoder's own position counts
-    from the start of its buffer."""
-    with open(path, "r", encoding="utf-8") as src:
-        try:
-            yield src
-        except UnicodeDecodeError:
-            try:
-                Path(path).read_bytes().decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise EncodingError(exc.start, path) from None
-            raise
 
 
 @dataclass(frozen=True)
@@ -114,35 +96,37 @@ def stream_documents(source, config: TokenizerConfig = TokenizerConfig()
     offset (decompressed, for gzip).
     """
     block: list[str] = []
-    for text in _lines(source):
-        if config.doc_boundary == "line":
-            yield tokenize_line(text, config)
-        elif text.strip():
-            block.extend(tokenize_line(text, config))
-        elif block:
-            yield block
-            block = []
+    with _binary_stream(source) as stream:
+        for text in _lines(stream, source):
+            if config.doc_boundary == "line":
+                yield tokenize_line(text, config)
+            elif text.strip():
+                block.extend(tokenize_line(text, config))
+            elif block:
+                yield block
+                block = []
     if block:
         yield block
 
 
-def _lines(source, offset: int = 0, stop: int | None = None) -> Iterator[str]:
-    """Decode each line from byte ``offset`` to the first at/after ``stop``."""
-    with _binary_stream(source) as stream:
-        stream.seek(offset)
-        try:
-            for raw in stream:
-                if stop is not None and offset >= stop:
-                    return
-                try:
-                    text = raw.decode("utf-8")
-                except UnicodeDecodeError as exc:
-                    raise EncodingError(offset + exc.start, source) from exc
-                offset += len(raw)
-                yield text
-        except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
-            raise ValueError(f"{source}: corrupt gzip data after decompressed "
-                             f"byte offset {offset}: {exc}") from exc
+def _lines(stream: BinaryIO, source, offset: int = 0,
+           stop: int | None = None) -> Iterator[str]:
+    r"""Decode each line of ``stream`` (only "\n" ends one) from byte
+    ``offset`` to the first at/after ``stop``; errors name ``source``."""
+    stream.seek(offset)
+    try:
+        for raw in stream:
+            if stop is not None and offset >= stop:
+                return
+            try:
+                text = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise EncodingError(offset + exc.start, source) from exc
+            offset += len(raw)
+            yield text
+    except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
+        raise ValueError(f"{source}: corrupt gzip data after decompressed "
+                         f"byte offset {offset}: {exc}") from exc
 
 
 def stream_tokens(source, config: TokenizerConfig = TokenizerConfig()
@@ -281,10 +265,11 @@ def count_corpus(path: str | Path, config: TokenizerConfig = TokenizerConfig(),
         mid = src.tell() + len(src.readline())
 
     def documents(start: int, stop: int | None = None, check=lambda: None):
-        for i, text in enumerate(_lines(path, start, stop)):
-            if not i % _CHILD_BLOCK_DOCS:
-                check()
-            yield tokenize_line(text, config)
+        with _binary_stream(path) as stream:
+            for i, text in enumerate(_lines(stream, path, start, stop)):
+                if not i % _CHILD_BLOCK_DOCS:
+                    check()
+                yield tokenize_line(text, config)
 
     def second(part, check) -> None:
         try:
@@ -371,17 +356,33 @@ def write_frequency_table(table: FrequencyTable, path: str | Path) -> None:
             out.write(f"{token}\t{f}\t{d}\n")
 
 
+def _cut(where: str, stream: BinaryIO) -> ValueError:
+    return ValueError(f"{where} ends at byte {stream.tell()} without a "
+                      "newline; the file may be truncated")
+
+
+def _terminated(stream: BinaryIO, path) -> Iterator[tuple[int, str]]:
+    r"""Each line of ``stream`` with its number, less its "\n" or "\r\n";
+    a line cut before its "\n" (a truncated file) or a lone "\r" is refused."""
+    for lineno, line in enumerate(_lines(stream, path), start=1):
+        if "\r" in line[:-2]:  # anywhere but in a final "\r\n"
+            raise ValueError(f"{path}:{lineno}: a lone carriage return")
+        if not line.endswith("\n"):
+            raise _cut(f"{path}:{lineno}:", stream)
+        yield lineno, line.rstrip("\r\n")
+
+
 def read_frequency_table(path: str | Path) -> FrequencyTable:
-    with open_text(path) as src:
-        header = src.readline().rstrip("\n")
+    with open(path, "rb") as stream:
+        lines = _terminated(stream, path)
+        _, header = next(lines, (1, ""))
         totals = re.fullmatch(r"#M=(\d+)\s+D=(\d+)\s*", header)
         if totals is None:
             raise ValueError(f"{path}:1: malformed header {header!r}, "
                              "expected '#M=<tokens> D=<documents>'")
         total_tokens, total_documents = map(int, totals.groups())
         counts: dict[str, tuple[int, int]] = {}
-        for lineno, line in enumerate(src, start=2):
-            line = line.rstrip("\n")
+        for lineno, line in lines:
             if not line:
                 continue
             try:

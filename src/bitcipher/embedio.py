@@ -18,11 +18,11 @@ import shutil
 import struct
 from collections import Counter
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from ._lazy import np
-from .corpus import (OOV_TOKEN, EncodingError, Vocabulary, _run_halves,
-                     _second_cpu, open_text)
+from .corpus import (OOV_TOKEN, EncodingError, Vocabulary, _cut, _lines,
+                     _run_halves, _second_cpu)
 from .postprocess import _NORM_BLOCK_ROWS
 
 EMBED_MAGIC = b"BCEM"
@@ -130,75 +130,71 @@ def _write_halves(out, write, n: int, path: str | Path) -> None:
 
 
 def read_embeddings_text(path: str | Path) -> tuple[np.ndarray, list[str]]:
-    """Read a text embedding file in one streamed pass.
+    """Parse the lines :func:`_text_rows` yields in one pass of numpy's C
+    ``loadtxt``, the token column by a throwaway converter; on a failure,
+    re-read the file to name the first bad row, by the walker or float()."""
+    tokens: list[str] = []
+    walk = _text_rows(path, tokens)
+    n, dim = next(walk)
+    detail = f"the rows do not match the header's {n} x {dim}"
+    try:
+        # max_rows makes loadtxt allocate all n rows up front, so first
+        # refuse more rows than fit (each takes >= 2 (dim + 1) bytes)
+        if 2 * n * (dim + 1) > os.path.getsize(path):
+            raise ValueError(detail)
+        rows = np.loadtxt(walk, dtype=np.float64, comments=None, ndmin=2,
+                          max_rows=n, converters={0: lambda s: 0.0}
+                          ) if n else np.empty((0, dim + 1))
+        next(walk, None)  # the walker's check for text after the rows
+        if rows.shape == (n, dim + 1):
+            # a copy would hold a second matrix at the peak
+            return rows[:, 1:], tokens
+    except ValueError as exc:
+        detail = str(exc)
+    walk = _text_rows(path, [])  # again, to name the first bad row
+    _, dim = next(walk)
+    for i, line in enumerate(walk):
+        parts = line.split()
+        if len(parts) != dim + 1:
+            raise ValueError(f"{path}: row {i} has {len(parts) - 1} values, "
+                             f"expected {dim}")
+        try:
+            for value in parts[1:]:
+                float(value)
+        except ValueError as exc:
+            raise ValueError(f"{path}: row {i}: {exc}") from None
+    raise ValueError(f"{path}: {detail}")
 
-    numpy's C ``loadtxt`` parses each line, with a throwaway converter for
-    the token column; the rows returned are a view past that column, and the
-    tokens are collected as the lines stream by. Any failure re-reads the
-    file with :func:`_check_text_rows` to name the first bad row.
-    """
-    with open_text(path) as src:
-        header = src.readline()
+
+def _text_rows(path: str | Path, tokens: list[str]) -> Iterator:
+    """Yield the header's ``(rows, dim)``, then each row's line, its token
+    appended to ``tokens``. Refuse a malformed header, a missing, cut or
+    blank row (loadtxt would skip a blank line, warn on no lines at all, and
+    count blank lines against max_rows differently across versions) and,
+    resumed after the last row, any text after it."""
+    with open(path, "rb") as stream:
+        lines = _lines(stream, path)
+        header = next(lines, "")
         fields = header.split()
         if len(fields) != 2 or not all(f.isdecimal() for f in fields):
             raise ValueError(f"{path}: malformed header {header.strip()!r}, "
                              "expected '<rows> <dim>'")
-        n, dim = int(fields[0]), int(fields[1])
-        tokens: list[str] = []
-
-        def lines():
-            # loadtxt would skip a blank line, warn on no lines at all, and
-            # count blank lines against max_rows differently across versions
-            for _ in range(n):
-                line = src.readline()
-                if not line.strip():
-                    raise ValueError("a blank line or the end of the file")
-                tokens.append(unescape_token(line.split(None, 1)[0]))
-                yield line
-
-        detail = f"the rows do not match the header's {n} x {dim}"
-        try:
-            # max_rows makes loadtxt allocate all n rows up front, so first
-            # refuse more rows than fit (each takes >= 2 (dim + 1) bytes)
-            if 2 * n * (dim + 1) > Path(path).stat().st_size:
-                raise ValueError(detail)
-            rows = np.loadtxt(lines(), dtype=np.float64, comments=None,
-                              ndmin=2, max_rows=n,
-                              converters={0: lambda s: 0.0}
-                              ) if n else np.empty((0, dim + 1))
-            if rows.shape == (n, dim + 1) and not src.read(1):
-                # a copy would hold a second matrix at the peak
-                return rows[:, 1:], tokens
-        except UnicodeDecodeError:
-            raise
-        except ValueError as exc:
-            detail = str(exc)
-    _check_text_rows(path, n, dim)
-    raise ValueError(f"{path}: {detail}")
-
-
-def _check_text_rows(path: str | Path, n: int, dim: int) -> None:
-    """Raise the first error a per-line ``float()`` reader finds in the
-    ``n`` rows of width ``dim`` after the header of ``path``."""
-    with open_text(path) as src:
-        src.readline()
+        if not header.endswith("\n"):
+            raise _cut(f"{path}: the header", stream)
+        n = int(fields[0])
+        yield n, int(fields[1])
         for i in range(n):
-            line = src.readline()
+            line = next(lines, "")
             if not line:
                 raise ValueError(f"{path}: ends before row {i} of the {n} "
                                  "rows its header declares")
-            parts = line.split()
-            if not parts:
+            if not line.endswith("\n"):
+                raise _cut(f"{path}: row {i}", stream)
+            if not line.strip():
                 raise ValueError(f"{path}: row {i} is blank")
-            if len(parts) != dim + 1:
-                raise ValueError(f"{path}: row {i} has {len(parts) - 1} values, "
-                                 f"expected {dim}")
-            try:
-                for value in parts[1:]:
-                    float(value)
-            except ValueError as exc:
-                raise ValueError(f"{path}: row {i}: {exc}") from None
-        if src.read(1):
+            tokens.append(unescape_token(line.split(None, 1)[0]))
+            yield line
+        if next(lines, None) is not None:
             if not n:
                 raise ValueError(f"{path}: text after the header, which "
                                  "declares 0 rows")

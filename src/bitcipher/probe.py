@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass, field
 
 from ._lazy import np
-from .corpus import Vocabulary, open_text
+from .corpus import Vocabulary, _lines
 
 _PREDICT_BLOCK_ROWS = 1024  # distinct rows predicted at once (see _predict)
 
@@ -40,22 +40,24 @@ def load_conll(path, token_column: int = 0, label_column: int = -1,
 
     Non-blank lines are whitespace-separated columns; a blank line ends the
     current sequence; ``-DOCSTART-`` lines are ignored. All data rows must
-    have the same number of columns, otherwise the offending line number is
-    reported.
+    have the same number of columns, and only "\\n" or "\\r\\n" ends a line;
+    otherwise the offending line number is reported.
     """
     sequences: list[list[tuple[str, str]]] = []
     current: list[tuple[str, str]] = []
     label_set: list[str] = []
     seen_labels: set[str] = set()
     ncols: int | None = None
-    with open_text(path) as src:
-        for lineno, line in enumerate(src, start=1):
+    with open(path, "rb") as stream:
+        for lineno, line in enumerate(_lines(stream, path), start=1):
             stripped = line.strip()
             if not stripped:
                 if current:
                     sequences.append(current)
                     current = []
                 continue
+            if "\r" in stripped:
+                raise ValueError(f"{path}:{lineno}: a lone carriage return")
             cols = stripped.split()
             if cols[0] == "-DOCSTART-":
                 continue

@@ -19,7 +19,8 @@ from bitcipher import cli
 from bitcipher.cipher import build_cipher, save_cipher
 from bitcipher.cli import main
 from bitcipher.embedio import (OOV_TOKEN, read_embeddings,
-                               read_embeddings_text, write_embeddings_binary)
+                               read_embeddings_text, write_embeddings_binary,
+                               write_embeddings_text)
 
 CORPUS = """\
 the cat sat on the mat .
@@ -1127,6 +1128,27 @@ def test_export_rejects_corrupt_binary(tmp_path, corpus_file, capsys, case):
     assert main(["export", str(bad), "--out", str(tmp_path / "again.txt"),
                  "--format", "text"]) == 2
     assert str(bad) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cut", [1, 3])
+def test_export_refuses_a_cut_text_file(tmp_path, capsys, cut):
+    # without its last 3 bytes the file would read 0.123456 as 0.1234
+    rows = np.array([[0.5, -0.25], [0.25, 0.123456]])
+    whole = tmp_path / "whole.txt"
+    write_embeddings_text(rows, ["a", OOV_TOKEN], whole)
+    data = whole.read_bytes()
+    assert data.endswith(b" 0.123456\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    bad = out / "cut.txt"
+    bad.write_bytes(data[:-cut])
+    capsys.readouterr()
+    assert main(["export", str(bad), "--out", str(out / "emb.bin"),
+                 "--format", "binary"]) == 2
+    assert (f"{bad}: row 1 ends at byte {len(data) - cut} without a newline"
+            in capsys.readouterr().err)
+    # no output, no manifest, no temporary file
+    assert [p.name for p in out.iterdir()] == ["cut.txt"]
 
 
 def test_cli_import_does_not_load_scipy():

@@ -270,6 +270,10 @@ def test_frequency_table_round_trip(tmp_path):
     assert back == table
     header = path.read_text().splitlines()[0]
     assert header == "#M=9 D=3"
+    # a CRLF copy, with a blank line at the end, reads the same
+    crlf = tmp_path / "crlf.tsv"
+    crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n") + b"\r\n")
+    assert read_frequency_table(crlf) == table
 
 
 def test_counting_deterministic(write_corpus):
@@ -295,9 +299,12 @@ def test_counting_deterministic(write_corpus):
     ("#M=5 D=2\ntok\t6\t1\n", 2, "counts f=6 d=1 break"),
     ("#M=5 D=2\ntok\t5\t3\n", 2, "counts f=5 d=3 break 1 <= d <= f <= M=5 "
      "and d <= D=2"),
+    ("#M=100 D=20\nthe\t60\t20\ncat\t40\t1", 3, "ends at byte 30 without a "
+     "newline; the file may be truncated"),
+    ("#M=0 D=0", 1, "ends at byte 8 without a newline"),
 ], ids=["no_d", "non_integer", "negative", "no_hash", "empty",
         "repeated_token", "bad_row", "zero_counts", "negative_f",
-        "d_above_f", "f_above_m", "d_above_D"])
+        "d_above_f", "f_above_m", "d_above_D", "cut_last_row", "cut_header"])
 def test_read_frequency_table_names_path_and_line(tmp_path, text, line,
                                                   message):
     path = tmp_path / "freq.tsv"

@@ -284,8 +284,8 @@ VALUES = st.floats(allow_nan=False) | st.sampled_from(
 @st.composite
 def text_embedding_files(draw):
     """A valid text embedding file: values written with ``%.6g`` or
-    ``repr``, fields split by runs of spaces and tabs, lines by LF or
-    CRLF, and tokens that need escaping."""
+    ``repr``, fields split by runs of spaces and tabs, lines ended by LF or
+    CRLF (the last one too), and tokens that need escaping."""
     n, dim = draw(st.integers(1, 5)), draw(st.integers(0, 4))
     fmt = draw(st.sampled_from(["%.6g", "%r"]))
     gap = st.sampled_from([" ", "\t", "   ", " \t ", "\t\t"])
@@ -299,7 +299,7 @@ def text_embedding_files(draw):
         for value in fields[1:]:
             line += draw(gap) + value
         lines.append(draw(edge) + line + draw(edge))
-    return eol.join(lines) + draw(st.sampled_from([eol, ""]))
+    return eol.join(lines) + eol
 
 
 @given(text_embedding_files())
@@ -341,6 +341,12 @@ TEXT_ERRORS = {
             "row 1: could not convert string to float: '0x10'"),
     "malformed header": ("2\na 1 2\n",
                          "malformed header '2', expected '<rows> <dim>'"),
+    "cut last value": ("2 2\na 1 2\nb 3 0.5", "row 1 ends at byte 17 without "
+                       "a newline; the file may be truncated"),
+    "cut first row": ("2 2\na 1", "row 0 ends at byte 7 without a newline; "
+                      "the file may be truncated"),
+    "cut header": ("0 2", "the header ends at byte 3 without a newline; the "
+                   "file may be truncated"),
 }
 
 
@@ -353,6 +359,29 @@ def test_text_reader_error_messages(tmp_path, case):
     with pytest.raises(ValueError) as info:
         read_embeddings_text(path)
     assert str(info.value) == f"{path}: {message}"
+
+
+def test_walker_messages_do_not_depend_on_loadtxt_reraising(tmp_path,
+                                                           monkeypatch):
+    # numpy 2.4 re-raises the line iterator's exception unchanged; a numpy
+    # that wrapped it must not change the message, which the re-read gives
+    loadtxt = np.loadtxt
+
+    def wrapping(*args, **kwargs):
+        try:
+            return loadtxt(*args, **kwargs)
+        except Exception as exc:
+            raise ValueError("loadtxt failed") from exc
+
+    monkeypatch.setattr(np, "loadtxt", wrapping)
+    for case in ("cut last value", "too many rows", "blank line",
+                 "too few rows"):
+        content, message = TEXT_ERRORS[case]
+        path = tmp_path / "emb.txt"
+        path.write_text(content)
+        with pytest.raises(ValueError) as info:
+            read_embeddings_text(path)
+        assert str(info.value) == f"{path}: {message}"
 
 
 def test_text_reader_refuses_underscore_digits_by_name(tmp_path):

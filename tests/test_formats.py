@@ -15,9 +15,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from bitcipher.corpus import (EncodingError, count_frequencies,
-                              read_frequency_table, stream_documents,
-                              write_frequency_table)
+from bitcipher.corpus import (EncodingError, FrequencyTable,
+                              count_frequencies, read_frequency_table,
+                              stream_documents, write_frequency_table)
 from bitcipher.embedio import (OOV_TOKEN, is_binary_embedding_file,
                                read_embeddings, write_embeddings_binary,
                                write_embeddings_text)
@@ -191,3 +191,105 @@ def test_damaged_file_is_refused_by_name_or_round_trips(name, data):
             text = again.read_bytes()
             rewrite(read(again), again, path)
             assert path.read_bytes() == text
+
+
+# ---------------------------------------------------------------------------
+# truncation: every strict prefix of a written file is refused by name
+# ---------------------------------------------------------------------------
+
+def _prefix_text_sample(path):
+    # the last value has 6 significant digits, so most cuts inside it would
+    # still parse as a number
+    rows = np.array([[0.5, -0.25], [1.5, 2.0], [0.25, 0.123456]])
+    write_embeddings_text(rows, ["a", "b", OOV_TOKEN], path)
+    assert path.read_bytes().endswith(b" 0.123456\n")
+
+
+def _prefix_binary_sample(path):
+    write_embeddings_binary(_rows(), TOKENS, path)
+
+
+def _prefix_table_sample(path):
+    # the last d has 2 digits: "cat\t40\t12" cut to "cat\t40\t1" keeps the
+    # f column's sum
+    write_frequency_table(FrequencyTable({"the": (60, 20), "cat": (40, 12)},
+                                         100, 20), path)
+    assert path.read_bytes().endswith(b"cat\t40\t12\n")
+
+
+PREFIX_SAMPLES = {
+    "text embeddings": (_prefix_text_sample, read_embeddings),
+    "binary embeddings": (_prefix_binary_sample, read_embeddings),
+    "frequency table": (_prefix_table_sample, read_frequency_table),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PREFIX_SAMPLES))
+def test_every_strict_prefix_is_refused_by_name(tmp_path, name):
+    sample, read = PREFIX_SAMPLES[name]
+    whole, path = tmp_path / "whole", tmp_path / "cut"
+    sample(whole)
+    read(whole)
+    data = whole.read_bytes()
+    for size in range(len(data)):
+        path.write_bytes(data[:size])
+        with pytest.raises(ValueError) as err:
+            read(path)
+        assert str(path) in str(err.value), size
+
+
+# ---------------------------------------------------------------------------
+# line ends: "\n" and "\r\n" end a line, a lone "\r" does not; no gzip
+# ---------------------------------------------------------------------------
+
+# Each format written with a lone "\r" after every line: one line.
+LONE_CR = {
+    "frequency table": ("#M=3 D=1\ra\t2\t1\rb\t1\t1\r", read_frequency_table,
+                        ":1: a lone carriage return"),
+    "text embeddings": ("2 2\ra 1 2\r<oov> 3 4\r", read_embeddings,
+                        ": malformed header"),
+    # split on whitespace as one line, this would read as the single token
+    # ("a", "DET")
+    "conll": ("a NOUN\rb VERB\rc DET\r", load_conll,
+              ":1: a lone carriage return"),
+    # a lone "\r" beside "\n" line ends, where a row would read as the
+    # token "\rb" or the count "\r1"
+    "frequency table, mixed": ("#M=3 D=1\na\t2\t1\n\rb\t1\t1\n",
+                               read_frequency_table,
+                               ":3: a lone carriage return"),
+    "frequency table, in a count": ("#M=3 D=1\na\t2\t1\nb\t\r1\t1\r\n",
+                                    read_frequency_table,
+                                    ":3: a lone carriage return"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LONE_CR))
+def test_lone_carriage_return_is_refused_by_name(tmp_path, name):
+    content, read, message = LONE_CR[name]
+    path = tmp_path / "lone-cr"
+    path.write_bytes(content.encode())
+    with pytest.raises(ValueError) as err:
+        read(path)
+    assert str(err.value).startswith(f"{path}{message}")
+
+
+@pytest.mark.parametrize("row", ["a 1 2\rb 3 4\n", "\ra 1 2\n"],
+                         ids=["inside", "leading"])
+def test_text_embeddings_refuse_a_lone_carriage_return_in_a_row(tmp_path,
+                                                                row):
+    # numpy's C loadtxt (1.23+) refuses a "\r" inside a line it is handed
+    path = tmp_path / "emb.txt"
+    path.write_bytes(f"2 2\n{row}<oov> 3 4\n".encode())
+    with pytest.raises(ValueError) as err:
+        read_embeddings(path)
+    assert str(err.value).startswith(f"{path}: ")
+
+
+@pytest.mark.parametrize("name", sorted(TEXT_FORMATS))
+def test_text_formats_refuse_gzip(tmp_path, name):
+    head, _, read = TEXT_FORMATS[name]
+    path = tmp_path / "zipped"
+    path.write_bytes(gzip.compress(head.encode(), mtime=0))
+    with pytest.raises(EncodingError) as err:
+        read(path)
+    assert str(err.value) == f"{path}: invalid UTF-8 at byte offset 1"

@@ -56,6 +56,10 @@ def test_load_conll_sample(tmp_path):
     path = tmp_path / "sample.conll"
     path.write_text(CONLL_SAMPLE)
     ds = load_conll(path, token_column=0, label_column=-1)
+    crlf = tmp_path / "crlf.conll"
+    crlf.write_bytes(CONLL_SAMPLE.replace("\n", "\r\n").encode())
+    again = load_conll(crlf, token_column=0, label_column=-1)
+    assert (again.sequences, again.label_set) == (ds.sequences, ds.label_set)
     assert len(ds.sequences) == 2
     distinct = {label for seq in ds.sequences for _, label in seq}
     assert set(ds.label_set) == distinct
