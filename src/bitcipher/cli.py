@@ -6,7 +6,7 @@ import argparse
 import sys
 import traceback
 from contextlib import contextmanager
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from itertools import chain
 
 from . import __version__
@@ -197,10 +197,9 @@ def cmd_postproc(args) -> int:
 def cmd_probe(args) -> int:
     inputs = {"embeddings": args.embeddings, "train": args.train,
               "dev": args.dev, "test": args.test}
-    hp = ProbeHyperparams(hidden=args.hidden, dropout=args.dropout,
-                          learning_rate=args.lr, momentum=args.momentum,
-                          batch_size=args.batch_size, epochs=args.epochs,
-                          patience=args.patience, seed=args.seed)
+    names = {field.name for field in fields(ProbeHyperparams)}
+    hp = ProbeHyperparams(**{k: v for k, v in vars(args).items()
+                             if k in names})
     with publish(args.metrics_out, "probe",
                  {"hyperparams": asdict(hp),
                   "token_column": args.token_column,
@@ -300,14 +299,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="JSON metrics output path")
     probe.add_argument("--token-column", type=int, default=0)
     probe.add_argument("--label-column", type=int, default=-1)
-    probe.add_argument("--hidden", type=int, default=256)
-    probe.add_argument("--dropout", type=float, default=0.5)
-    probe.add_argument("--lr", type=float, default=0.01)
-    probe.add_argument("--momentum", type=float, default=0.9)
-    probe.add_argument("--batch-size", type=int, default=128)
-    probe.add_argument("--epochs", type=int, default=50)
-    probe.add_argument("--patience", type=int, default=5)
-    probe.add_argument("--seed", type=int, default=0)
+    for field in fields(ProbeHyperparams):
+        if field.name != "leaky_slope":  # no flag sets it
+            flag = {"learning_rate": "lr"}.get(field.name, field.name)
+            probe.add_argument("--" + flag.replace("_", "-"), dest=field.name,
+                               type=type(field.default), default=field.default)
     probe.set_defaults(func=cmd_probe)
 
     export = sub.add_parser("export", help="convert between embedding formats")

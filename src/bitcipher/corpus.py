@@ -21,8 +21,9 @@ from typing import BinaryIO, Iterable, Iterator
 from ._lazy import np
 
 GZIP_MAGIC = b"\x1f\x8b"
-# Bytes of plain text from which `count` forks. On 2 cores, the grammar corpus
-# cut to 128 KiB loses 1-7 ms, to 256 KiB breaks even and to 384 KiB wins 18.
+# Bytes of plain text from which `count` forks. Paired CLI runs on 2 cores:
+# the grammar corpus (1.1 MB, 226 types) ties, zipf-cat's (394 KB, 10k types)
+# loses 15 ms and the 1M corpus (4.8 MB, 92k types) wins 0.11-0.22 s.
 _SPLIT_BYTES = 256 * 1024
 # Documents the forked counter reads between checks that its parent lives.
 _CHILD_BLOCK_DOCS = 1024
@@ -74,13 +75,20 @@ def tokenize_line(text: str, config: TokenizerConfig) -> list[str]:
     return _TOKEN.findall(text)
 
 
+def _has_magic(path, magic: bytes) -> bool:
+    """Whether the file starts with ``magic`` or is a non-empty prefix of
+    it: a file cut inside its magic goes to the reader that names the cut."""
+    with open(path, "rb") as fh:
+        head = fh.read(len(magic))
+    return bool(head) and magic.startswith(head)
+
+
 def _binary_stream(source) -> BinaryIO:
     """Raw bytes as a stream, or a path opened for binary reading, inflating
     gzip, which is told by its magic bytes."""
     if isinstance(source, (bytes, bytearray)):
         return io.BytesIO(source)
-    with open(source, "rb") as fh:
-        gzipped = fh.read(2) == GZIP_MAGIC
+    gzipped = _has_magic(source, GZIP_MAGIC)
     return gzip.open(source) if gzipped else open(source, "rb")
 
 
@@ -258,7 +266,7 @@ def count_corpus(path: str | Path, config: TokenizerConfig = TokenizerConfig(),
     is ignored; bitbench's ``run_layers`` still passes ``workers=1``."""
     with open(path, "rb") as src:
         size = os.fstat(src.fileno()).st_size
-        if (src.read(2) == GZIP_MAGIC or config.doc_boundary != "line"
+        if (_has_magic(path, GZIP_MAGIC) or config.doc_boundary != "line"
                 or size < max(_SPLIT_BYTES, 2) or not _second_cpu()):
             return count_frequencies(stream_documents(path, config))
         src.seek(size // 2 - 1)

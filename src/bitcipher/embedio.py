@@ -21,17 +21,16 @@ from pathlib import Path
 from typing import Iterator, Sequence
 
 from ._lazy import np
-from .corpus import (OOV_TOKEN, EncodingError, Vocabulary, _cut, _lines,
-                     _run_halves, _second_cpu)
+from .corpus import (OOV_TOKEN, EncodingError, Vocabulary, _cut,
+                     _has_magic, _lines, _run_halves, _second_cpu)
 from .postprocess import _NORM_BLOCK_ROWS
 
 EMBED_MAGIC = b"BCEM"
 EMBED_VERSION = 1
 _BIN_HEADER = struct.Struct("<4sIII")
 # Fewest values (rows x dim) a text file must hold before a second process
-# formats half of them. On a 2-core host, from a process holding 100 MB, the
-# fork, the wait and the append cost as much as the half saves at 20,000 to
-# 50,000 values, and two processes win from 100,000 (45 -> 30 ms).
+# formats half of them. In paired CLI runs on 2 cores, zipf-cat's `embed`
+# (2.1M values) is 0.17-0.18 s faster forked; its break-even is unmeasured.
 _SPLIT_VALUES = 100_000
 # Rows the forked child formats between checks that its parent still lives.
 _CHILD_BLOCK_ROWS = 1024
@@ -256,11 +255,6 @@ def read_embeddings_binary(path: str | Path) -> tuple[np.ndarray, list[str]]:
     return rows.reshape(n, dim).astype(np.float32, copy=False), tokens
 
 
-def is_binary_embedding_file(path: str | Path) -> bool:
-    with open(path, "rb") as src:
-        return src.read(4) == EMBED_MAGIC
-
-
 def read_embeddings(path: str | Path) -> tuple[np.ndarray, list[str]]:
     """Read either format, sniffing the binary magic.
 
@@ -268,7 +262,7 @@ def read_embeddings(path: str | Path) -> tuple[np.ndarray, list[str]]:
     repeats an earlier row are rejected with the path and the first such
     row, so no command turns them into an artifact.
     """
-    if is_binary_embedding_file(path):
+    if _has_magic(path, EMBED_MAGIC):
         rows, tokens = read_embeddings_binary(path)
     else:
         rows, tokens = read_embeddings_text(path)

@@ -144,6 +144,10 @@ def _corrupt_gzip(data: bytes, case: str) -> bytes:
     data = bytearray(data)
     if case == "cut":
         del data[len(data) // 2:]
+    elif case == "first_byte":
+        # cut inside the magic number; read as plain text, this is a corpus
+        # of one blank line
+        del data[1:]
     elif case == "deflate_byte":
         # The first deflate block header follows the 10-byte gzip header;
         # flipping bit 1 turns a dynamic-Huffman block (type 10) into the
@@ -155,7 +159,8 @@ def _corrupt_gzip(data: bytes, case: str) -> bytes:
 
 
 @pytest.mark.parametrize("command", ["count", "embed"])
-@pytest.mark.parametrize("case", ["cut", "deflate_byte", "method_byte"])
+@pytest.mark.parametrize("case", ["cut", "deflate_byte", "method_byte",
+                                  "first_byte"])
 def test_corrupt_gzip_corpus_exits_2(tmp_path, capsys, command, case):
     plain = tmp_path / "corpus.txt"
     plain.write_text(CORPUS * 50)

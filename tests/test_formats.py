@@ -15,12 +15,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from bitcipher.corpus import (EncodingError, FrequencyTable,
+from bitcipher.corpus import (EncodingError, FrequencyTable, _has_magic,
                               count_frequencies, read_frequency_table,
                               stream_documents, write_frequency_table)
-from bitcipher.embedio import (OOV_TOKEN, is_binary_embedding_file,
-                               read_embeddings, write_embeddings_binary,
-                               write_embeddings_text)
+from bitcipher.embedio import (EMBED_MAGIC, OOV_TOKEN, read_embeddings,
+                               write_embeddings_binary, write_embeddings_text)
 from bitcipher.probe import load_conll
 
 # Tokens one byte apart, so a flipped byte can make a repeat.
@@ -122,7 +121,7 @@ def _embedding_format(writer):
         writer(_rows(), TOKENS, path)
 
     def rewrite(value, source, path):
-        if is_binary_embedding_file(source):
+        if _has_magic(source, EMBED_MAGIC):
             write_embeddings_binary(*value, path)
         else:
             write_embeddings_text(*value, path)
@@ -184,7 +183,7 @@ def test_damaged_file_is_refused_by_name_or_round_trips(name, data):
             return
         rewrite(value, path, again)
         assert _equal(read(again), value)
-        if is_binary_embedding_file(path):
+        if _has_magic(path, EMBED_MAGIC):
             assert again.read_bytes() == path.read_bytes()
         else:
             # text written from what was read is a fixed point
@@ -217,25 +216,35 @@ def _prefix_table_sample(path):
     assert path.read_bytes().endswith(b"cat\t40\t12\n")
 
 
+# name -> (write a sample, read a file, how the refusal of each non-empty
+# prefix begins after the path): a file cut inside its magic number is
+# refused by its own format's reader
 PREFIX_SAMPLES = {
-    "text embeddings": (_prefix_text_sample, read_embeddings),
-    "binary embeddings": (_prefix_binary_sample, read_embeddings),
-    "frequency table": (_prefix_table_sample, read_frequency_table),
+    "text embeddings": (_prefix_text_sample, read_embeddings, ""),
+    "binary embeddings": (_prefix_binary_sample, read_embeddings,
+                          ": truncated "),
+    "frequency table": (_prefix_table_sample, read_frequency_table, ""),
+    "gzip corpus": (_gzip_sample, _read_corpus, ": corrupt gzip data "),
 }
 
 
 @pytest.mark.parametrize("name", sorted(PREFIX_SAMPLES))
 def test_every_strict_prefix_is_refused_by_name(tmp_path, name):
-    sample, read = PREFIX_SAMPLES[name]
+    sample, read, refusal = PREFIX_SAMPLES[name]
     whole, path = tmp_path / "whole", tmp_path / "cut"
     sample(whole)
     read(whole)
     data = whole.read_bytes()
     for size in range(len(data)):
         path.write_bytes(data[:size])
+        if not size and name == "gzip corpus":
+            assert read(path) == []  # an empty plain corpus
+            continue
         with pytest.raises(ValueError) as err:
             read(path)
         assert str(path) in str(err.value), size
+        if size:
+            assert str(err.value).startswith(f"{path}{refusal}"), size
 
 
 # ---------------------------------------------------------------------------
